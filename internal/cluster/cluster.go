@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"strongdecomp/internal/graph"
 )
@@ -25,103 +26,111 @@ import (
 // Unclustered marks a node that belongs to no cluster (dead/removed).
 const Unclustered = -1
 
-// Tree is a Steiner tree over the host graph: Parent maps each tree node to
-// its parent (the root maps to -1). Tree nodes may include relay nodes that
-// are not cluster members; that is exactly what makes a cluster's diameter
-// "weak".
+// Tree is a Steiner tree over the host graph, stored as two parallel
+// slices: Nodes lists the tree nodes with every parent before its children
+// (Nodes[0] == Root), and Parent[i] is the index in Nodes of Nodes[i]'s
+// parent (-1 for the root). Tree nodes may include relay nodes that are not
+// cluster members; that is exactly what makes a cluster's diameter "weak".
 type Tree struct {
 	Root   int
-	Parent map[int]int
+	Nodes  []int
+	Parent []int
 }
 
 // NewTree returns a tree containing only the root.
 func NewTree(root int) *Tree {
-	return &Tree{Root: root, Parent: map[int]int{root: -1}}
+	return &Tree{Root: root, Nodes: []int{root}, Parent: []int{-1}}
 }
 
-// Add attaches node v with parent p. The parent must already be in the tree.
+// Attach appends node v as a child of the node at index pi and returns v's
+// index. The caller guarantees that pi is an index of the tree and that v
+// is not yet a tree node.
+func (t *Tree) Attach(v, pi int) int {
+	t.Nodes = append(t.Nodes, v)
+	t.Parent = append(t.Parent, pi)
+	return len(t.Nodes) - 1
+}
+
+// Add attaches node v with parent node p, which must already be in the
+// tree; adding a node that is already present keeps its first attachment.
+// Add scans the tree, so it suits small trees; code that grows large trees
+// keeps its own node-to-index lookup and calls Attach.
 func (t *Tree) Add(v, p int) error {
-	if _, ok := t.Parent[p]; !ok {
+	pi := slices.Index(t.Nodes, p)
+	if pi < 0 {
 		return fmt.Errorf("cluster: tree parent %d not in tree", p)
 	}
-	if _, ok := t.Parent[v]; ok {
-		return nil // already present; keep the first attachment
+	if !slices.Contains(t.Nodes, v) {
+		t.Attach(v, pi)
 	}
-	t.Parent[v] = p
 	return nil
-}
-
-// Has reports whether v is a tree node (member or relay).
-func (t *Tree) Has(v int) bool {
-	_, ok := t.Parent[v]
-	return ok
 }
 
 // Depth returns the maximum root-to-node hop distance in the tree.
 func (t *Tree) Depth() int {
-	depth := make(map[int]int, len(t.Parent))
-	var walk func(v int) int
-	walk = func(v int) int {
-		if v == t.Root {
-			return 0
-		}
-		if d, ok := depth[v]; ok {
-			return d
-		}
-		d := walk(t.Parent[v]) + 1
-		depth[v] = d
-		return d
+	if len(t.Nodes) <= 1 {
+		return 0
 	}
+	depth := make([]int, len(t.Nodes))
 	max := 0
-	for v := range t.Parent {
-		if d := walk(v); d > max {
-			max = d
+	for i := 1; i < len(t.Nodes); i++ {
+		depth[i] = depth[t.Parent[i]] + 1
+		if depth[i] > max {
+			max = depth[i]
 		}
 	}
 	return max
 }
 
-// DepthOf returns the hop distance from v to the root along parent pointers,
-// or -1 if v is not in the tree or the walk does not terminate.
-func (t *Tree) DepthOf(v int) int {
-	if _, ok := t.Parent[v]; !ok {
-		return -1
+// CheckLayout checks the tree's layout for a host graph of len(mark)
+// nodes: Nodes and Parent are non-empty and of equal length, Nodes[0] is
+// Root with Parent[0] == -1, every other Parent[i] lies in [0, i), and the
+// node ids are distinct and in range. mark must be all false on entry and
+// is all false again on return, so one mark serves many trees.
+func (t *Tree) CheckLayout(mark []bool) error {
+	if len(t.Nodes) == 0 || len(t.Nodes) != len(t.Parent) {
+		return fmt.Errorf("cluster: tree has %d nodes and %d parents", len(t.Nodes), len(t.Parent))
 	}
-	d := 0
-	for u := v; u != t.Root; u = t.Parent[u] {
-		d++
-		if d > len(t.Parent) {
-			return -1
+	if t.Nodes[0] != t.Root || t.Parent[0] != -1 {
+		return fmt.Errorf("cluster: tree root %d is not node 0 with parent -1", t.Root)
+	}
+	var err error
+	marked := 0
+	for i, v := range t.Nodes {
+		if v < 0 || v >= len(mark) {
+			err = fmt.Errorf("cluster: tree node %d outside [0,%d)", v, len(mark))
+			break
 		}
+		if mark[v] {
+			err = fmt.Errorf("cluster: tree node %d appears twice", v)
+			break
+		}
+		if i > 0 && (t.Parent[i] < 0 || t.Parent[i] >= i) {
+			err = fmt.Errorf("cluster: tree node %d has parent index %d outside [0,%d)", v, t.Parent[i], i)
+			break
+		}
+		mark[v] = true
+		marked++
 	}
-	return d
+	for _, v := range t.Nodes[:marked] {
+		mark[v] = false
+	}
+	return err
 }
 
-// Validate checks that the tree's edges exist in g and that every node
-// reaches the root.
+// Validate checks the tree's layout (see CheckLayout) and that every tree
+// edge exists in g.
 func (t *Tree) Validate(g *graph.Graph) error {
-	for v, p := range t.Parent {
-		if v == t.Root {
-			if p != -1 {
-				return fmt.Errorf("cluster: root %d has parent %d", v, p)
-			}
-			continue
-		}
-		if p < 0 || !g.HasEdge(v, p) {
-			return fmt.Errorf("cluster: tree edge (%d,%d) not in graph", v, p)
-		}
+	return t.validate(g, make([]bool, g.N()))
+}
+
+func (t *Tree) validate(g *graph.Graph, mark []bool) error {
+	if err := t.CheckLayout(mark); err != nil {
+		return err
 	}
-	// Reachability: every node must reach the root without cycles.
-	for v := range t.Parent {
-		seen := 0
-		for u := v; u != t.Root; u = t.Parent[u] {
-			seen++
-			if seen > len(t.Parent) {
-				return fmt.Errorf("cluster: cycle in tree at %d", v)
-			}
-			if _, ok := t.Parent[u]; !ok {
-				return fmt.Errorf("cluster: dangling tree node %d", u)
-			}
+	for i := 1; i < len(t.Nodes); i++ {
+		if v, p := t.Nodes[i], t.Nodes[t.Parent[i]]; !g.HasEdge(v, p) {
+			return fmt.Errorf("cluster: tree edge (%d,%d) not in graph", v, p)
 		}
 	}
 	return nil

@@ -48,7 +48,7 @@ func TestTreeAddIdempotent(t *testing.T) {
 func TestTreeValidateRejectsNonEdges(t *testing.T) {
 	g := graph.Path(5)
 	tr := NewTree(0)
-	tr.Parent[3] = 0 // 0-3 is not an edge of the path
+	tr.Attach(3, 0) // 0-3 is not an edge of the path
 	if err := tr.Validate(g); err == nil {
 		t.Fatal("non-edge accepted")
 	}
@@ -56,11 +56,42 @@ func TestTreeValidateRejectsNonEdges(t *testing.T) {
 
 func TestTreeValidateRejectsBadRoot(t *testing.T) {
 	g := graph.Path(3)
-	tr := NewTree(0)
-	tr.Parent[0] = 1
-	tr.Parent[1] = 0
+	tr := &Tree{Root: 0, Nodes: []int{0, 1}, Parent: []int{1, 0}}
 	if err := tr.Validate(g); err == nil {
 		t.Fatal("root with parent accepted")
+	}
+}
+
+// TestTreeCheckLayoutRejectsMalformed covers every layout rule, each row
+// breaking exactly one of them on a valid tree 0 -> 1 -> 2 of a 4-node host.
+func TestTreeCheckLayoutRejectsMalformed(t *testing.T) {
+	mark := make([]bool, 4)
+	valid := func() *Tree { return &Tree{Root: 0, Nodes: []int{0, 1, 2}, Parent: []int{-1, 0, 1}} }
+	if err := valid().CheckLayout(mark); err != nil {
+		t.Fatalf("valid tree rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Tree){
+		"empty":           func(tr *Tree) { tr.Nodes, tr.Parent = nil, nil },
+		"length-mismatch": func(tr *Tree) { tr.Parent = tr.Parent[:2] },
+		"root-not-first":  func(tr *Tree) { tr.Root = 1 },
+		"root-has-parent": func(tr *Tree) { tr.Parent[0] = 0 },
+		"parent-forward":  func(tr *Tree) { tr.Parent[1] = 2 },
+		"parent-self":     func(tr *Tree) { tr.Parent[2] = 2 },
+		"parent-negative": func(tr *Tree) { tr.Parent[2] = -1 },
+		"duplicate-node":  func(tr *Tree) { tr.Nodes[2] = 1 },
+		"node-too-large":  func(tr *Tree) { tr.Nodes[2] = 4 },
+		"node-negative":   func(tr *Tree) { tr.Nodes[1] = -1 },
+	} {
+		tr := valid()
+		mutate(tr)
+		if err := tr.CheckLayout(mark); err == nil {
+			t.Errorf("%s: malformed tree accepted", name)
+		}
+		for v, m := range mark {
+			if m {
+				t.Fatalf("%s: mark[%d] left set", name, v)
+			}
+		}
 	}
 }
 

@@ -84,29 +84,33 @@ func CheckWeakCarving(g *graph.Graph, alive []bool, c *Carving, eps float64, max
 		return fmt.Errorf("weak carving: %d trees for %d clusters", len(c.Trees), c.K)
 	}
 	members := c.Members()
+	mark := make([]bool, g.N())
 	congestion := make(map[[2]int]int)
 	for cl, t := range c.Trees {
 		if t == nil {
 			return fmt.Errorf("weak carving: cluster %d has no tree", cl)
 		}
-		if err := t.Validate(g); err != nil {
+		if err := t.validate(g, mark); err != nil {
 			return fmt.Errorf("weak carving: cluster %d: %w", cl, err)
 		}
+		for _, v := range t.Nodes {
+			mark[v] = true
+		}
 		for _, v := range members[cl] {
-			if !t.Has(v) {
+			if !mark[v] {
 				return fmt.Errorf("weak carving: member %d of cluster %d not in tree", v, cl)
 			}
+		}
+		for _, v := range t.Nodes {
+			mark[v] = false
 		}
 		if maxDepth >= 0 {
 			if d := t.Depth(); d > maxDepth {
 				return fmt.Errorf("weak carving: cluster %d tree depth %d exceeds %d", cl, d, maxDepth)
 			}
 		}
-		for v, p := range t.Parent {
-			if p == -1 {
-				continue
-			}
-			u, w := v, p
+		for i := 1; i < len(t.Nodes); i++ {
+			u, w := t.Nodes[i], t.Nodes[t.Parent[i]]
 			if u > w {
 				u, w = w, u
 			}

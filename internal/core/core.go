@@ -214,7 +214,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		// Case (II): grow a ball from the giant cluster's tree root inside
 		// G[S]; A's removals are NOT committed (the ball may swallow them).
 		root := weakCarving.Centers[giant]
-		depthR := memberTreeDepth(weakCarving.Trees[giant], members[giant])
+		depthR := memberTreeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
 		var sizes []int
 		if hasPcfg && pcfg.Enabled(len(s)) {
 			sizes = graph.ParallelNeighborhoodSizes(g, sMask, []int{root}, dist, pcfg.Workers)
@@ -355,17 +355,19 @@ func DecomposeRGContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*
 	return DecomposeContext(ctx, g, CarveRGContext, m)
 }
 
-// memberTreeDepth returns the maximum tree depth over the given members
-// (relay-only nodes deeper than every member do not matter for covering the
-// cluster).
-func memberTreeDepth(t *cluster.Tree, members []int) int {
-	if t == nil {
+// memberTreeDepth returns the maximum depth in cluster cl's tree t over
+// the tree nodes that assign places in cl (relay-only nodes deeper than
+// every member do not matter for covering the cluster).
+func memberTreeDepth(t *cluster.Tree, assign []int, cl int) int {
+	if t == nil || len(t.Nodes) <= 1 {
 		return 0
 	}
+	depth := make([]int, len(t.Nodes))
 	max := 0
-	for _, v := range members {
-		if d := t.DepthOf(v); d > max {
-			max = d
+	for i := 1; i < len(t.Nodes); i++ {
+		depth[i] = depth[t.Parent[i]] + 1
+		if assign[t.Nodes[i]] == cl && depth[i] > max {
+			max = depth[i]
 		}
 	}
 	return max

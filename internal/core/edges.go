@@ -164,7 +164,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 		// Giant cluster: ball-grow from its tree root in the remaining
 		// subgraph, counting internal edges per radius.
 		root := orig[wc.Carving.Centers[giant]]
-		rootDepth := memberTreeDepth(wc.Carving.Trees[giant], members[giant])
+		rootDepth := memberTreeDepth(wc.Carving.Trees[giant], wc.Carving.Assign, giant)
 		order := bfsMinusCut(g, sMask, isCut, root, dist)
 		edgeAt := cumulativeEdges(g, sMask, isCut, order, dist)
 		maxLayer := len(edgeAt) - 1

@@ -130,11 +130,15 @@ func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds
 	}
 	sort.Ints(centers)
 	trees := make([]*cluster.Tree, len(centers))
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = -1
+	}
 	for i, u := range centers {
 		for _, v := range members[u] {
 			assign[v] = i
 		}
-		trees[i] = steinerTree(g, inS, u, members[u])
+		trees[i] = steinerTree(g, inS, u, members[u], idx)
 	}
 	return &cluster.Carving{Assign: assign, K: len(centers), Centers: centers, Trees: trees}
 }
@@ -230,22 +234,26 @@ func truncatedBFS(g *graph.Graph, inS []bool, src, limit int, dist []int) []int 
 
 // steinerTree builds the BFS tree from center u restricted to inS, truncated
 // to the paths reaching members (relays along those paths stay in the tree).
-func steinerTree(g *graph.Graph, inS []bool, u int, members []int) *cluster.Tree {
-	dist, parent := graph.BFSTree(g, inS, u)
-	_ = dist
+// idx is a node-indexed scratch that must be all -1 on entry; it maps tree
+// nodes to their tree index while the tree grows and is all -1 again on
+// return.
+func steinerTree(g *graph.Graph, inS []bool, u int, members []int, idx []int) *cluster.Tree {
+	_, parent := graph.BFSTree(g, inS, u)
 	t := cluster.NewTree(u)
-	var attach func(v int)
-	attach = func(v int) {
-		if t.Has(v) || v == u {
-			return
+	idx[u] = 0
+	var attach func(v int) int
+	attach = func(v int) int {
+		if i := idx[v]; i >= 0 {
+			return i
 		}
-		attach(parent[v])
-		if err := t.Add(v, parent[v]); err != nil {
-			panic(fmt.Sprintf("ls: steiner tree: %v", err))
-		}
+		idx[v] = t.Attach(v, attach(parent[v]))
+		return idx[v]
 	}
 	for _, v := range members {
 		attach(v)
+	}
+	for _, v := range t.Nodes {
+		idx[v] = -1
 	}
 	return t
 }

@@ -96,11 +96,16 @@ type edgeState struct {
 	joinIdx  []int
 }
 
+// edgeClusterInfo is one cluster's growth state. Unlike the node version,
+// a node may be offered to a tree it already holds, so the cluster keeps
+// its own node-to-index lookup; the first attachment wins, and depth (per
+// tree index) keeps the smallest depth any attachment offered.
 type edgeClusterInfo struct {
 	label    int
 	vol      int // degree sum of members in the remaining subgraph
 	tree     *cluster.Tree
-	depth    map[int]int
+	index    map[int]int // tree node -> index in tree.Nodes
+	depth    []int
 	maxDepth int
 	retired  bool
 }
@@ -133,7 +138,8 @@ func newEdgeState(g *graph.Graph, nodes []int, eps float64) *edgeState {
 			label: v,
 			vol:   st.degreeIn(v),
 			tree:  cluster.NewTree(v),
-			depth: map[int]int{v: 0},
+			index: map[int]int{v: 0},
+			depth: []int{0},
 		}
 	}
 	return st
@@ -413,14 +419,21 @@ func (st *edgeState) join(x *edgeClusterInfo, p edgeProposal) {
 	old.vol -= dv
 	st.label[v] = x.label
 	x.vol += dv
-	if err := x.tree.Add(v, p.via); err != nil {
-		panic(fmt.Sprintf("rg: edge tree invariant broken: %v", err))
+	pi, ok := x.index[p.via]
+	if !ok {
+		panic(fmt.Sprintf("rg: edge tree invariant broken: via %d not in tree %d", p.via, x.label))
 	}
-	if d, ok := x.depth[v]; !ok || d > x.depth[p.via]+1 {
-		x.depth[v] = x.depth[p.via] + 1
+	d := x.depth[pi] + 1
+	vi, ok := x.index[v]
+	if !ok {
+		vi = x.tree.Attach(v, pi)
+		x.index[v] = vi
+		x.depth = append(x.depth, d)
+	} else if x.depth[vi] > d {
+		x.depth[vi] = d
 	}
-	if x.depth[v] > x.maxDepth {
-		x.maxDepth = x.depth[v]
+	if x.depth[vi] > x.maxDepth {
+		x.maxDepth = x.depth[vi]
 	}
 	for _, w := range st.g.Neighbors(v) {
 		if st.inS[w] && !st.isCut(v, w) {

@@ -1,6 +1,7 @@
 package rg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,7 +36,7 @@ func checkEdgeInvariants(t *testing.T, g *graph.Graph, eps float64) *EdgeCarving
 		if cl == cluster.Unclustered {
 			t.Fatalf("edge version killed node %d", v)
 		}
-		if !ec.Carving.Trees[cl].Has(v) {
+		if !slices.Contains(ec.Carving.Trees[cl].Nodes, v) {
 			t.Fatalf("member %d of cluster %d not in tree", v, cl)
 		}
 	}

@@ -1,0 +1,7 @@
+//go:build race
+
+package rg
+
+// raceEnabled reports whether the race detector is active; see
+// race_off_test.go for the intended split.
+const raceEnabled = true

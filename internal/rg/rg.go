@@ -22,12 +22,17 @@
 // and its proposers die. The classic invariant makes this correct: a node
 // only ever joins an *adjacent* cluster, and adjacent live nodes agree on
 // all previously processed label bits, so processed bits never regress.
+//
+// The same invariant means a node never rejoins a cluster it left: a node
+// that leaves cluster l in phase i takes a label whose bit i differs from
+// l's, and keeps that bit from then on. A tree therefore never receives a
+// node it already holds, so a joining node's tree depth is exactly its via
+// node's plus one.
 package rg
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
@@ -112,23 +117,27 @@ type proposal struct {
 
 // clusterInfo is the per-cluster growth state. Labels are node ids, so the
 // state stores these as one flat slice indexed by label instead of a
-// map[int]*clusterInfo — no per-node allocation. The Steiner tree and depth
-// table are nil until the cluster's first acceptance: a nil tree means "the
-// singleton tree rooted at the label" and a nil depth table means
-// "{root: 0}", which is what the overwhelming majority of clusters (they
-// retire without ever growing) would otherwise allocate eagerly.
+// map[int]*clusterInfo — no per-node allocation. A cluster's Steiner tree
+// is its root (the label) followed by its entries in the state's attach
+// log; treeSize counts both.
 type clusterInfo struct {
 	size     int // live members
-	tree     *cluster.Tree
-	depth    map[int]int
+	treeSize int
 	maxDepth int
 	retired  bool
 }
 
+// attach is one tree attachment: node joined cluster label's tree as a
+// child of the node at index parent of that tree. A cluster's attachments
+// appear in the log in tree-index order.
+type attach struct {
+	label, node, parent int
+}
+
 // propSlot is one candidate's result from a parallel collect scan,
-// indexed by the candidate's position in the sorted activeBlue slice.
-// label -1 means the candidate found no live non-retired red cluster (or
-// died / turned red) and drops out of the active set at merge time.
+// indexed by the candidate's position in activeBlue. label -1 means the
+// candidate found no live non-retired red cluster (or died / turned red)
+// and drops out of the active set at merge time.
 type propSlot struct {
 	label int
 	via   int
@@ -146,15 +155,24 @@ type state struct {
 	label    []int         // current cluster label, -1 for dead / outside S
 	clusters []clusterInfo // indexed by label; meaningful only for labels in S
 
+	// Steiner trees: attaches logs every tree attachment of the run, and
+	// pos[v] is v's index in its current cluster's tree, depth[v] its hop
+	// distance from that tree's root. A node that has never moved is the
+	// root of its own singleton cluster (index 0, depth 0).
+	attaches []attach
+	pos      []int
+	depth    []int
+
 	activeBlue []int      // candidate proposers, maintained incrementally
 	inActive   []bool     // membership mask for activeBlue
 	slots      []propSlot // parallel collect results, one per activeBlue index
 
 	// Proposal scratch, reused every step: props collects this step's
-	// proposals in blue-node order, grouped holds them bucketed by label
-	// (CSR-style counting scatter), propLabels the sorted distinct labels,
-	// propEnds the per-group end offsets into grouped, and propCount the
-	// per-label counting array (always reset to zero after a step).
+	// proposals in activeBlue order, grouped holds them bucketed by label
+	// (CSR-style counting scatter), propLabels the distinct labels in
+	// first-proposal order, propEnds the per-group end offsets into
+	// grouped, and propCount the per-label counting array (always reset to
+	// zero after a step).
 	props      []proposal
 	grouped    []proposal
 	propLabels []int
@@ -173,6 +191,8 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		alive:     make([]bool, n),
 		label:     make([]int, n),
 		clusters:  make([]clusterInfo, n),
+		pos:       make([]int, n),
+		depth:     make([]int, n),
 		inActive:  make([]bool, n),
 		propCount: make([]int, n),
 	}
@@ -183,18 +203,9 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		st.inS[v] = true
 		st.alive[v] = true
 		st.label[v] = v
-		st.clusters[v].size = 1
+		st.clusters[v] = clusterInfo{size: 1, treeSize: 1}
 	}
 	return st
-}
-
-// ensureTree materializes x's Steiner tree and depth table on first growth;
-// l is x's label (and tree root).
-func (st *state) ensureTree(x *clusterInfo, l int) {
-	if x.tree == nil {
-		x.tree = cluster.NewTree(l)
-		x.depth = map[int]int{l: 0}
-	}
 }
 
 func bit(x, i int) int { return (x >> i) & 1 }
@@ -247,7 +258,7 @@ func (st *state) runPhase(phase int, m *rounds.Meter) {
 			break
 		}
 		m.Charge("rg/propose", 2)
-		st.resolveProposals(phase, m)
+		st.resolveProposals(m)
 	}
 	// Once per phase: pipelined tree maintenance over congested edges.
 	depth := 0
@@ -330,15 +341,31 @@ func (st *state) addActive(v int) {
 	}
 }
 
-// collectProposals computes this step's proposals in deterministic order:
-// every live blue candidate proposes to the smallest-label non-retired red
-// cluster among its neighbors, through its smallest-id member neighbor. The
-// proposals are bucketed by label into the reusable grouped/propLabels
-// scratch (counting scatter — no per-step map) and their count is returned.
+// collectProposals computes this step's proposals: every live blue
+// candidate proposes to the smallest-label non-retired red cluster among
+// its neighbors, through its smallest-id member neighbor. The proposals
+// are bucketed by label into the reusable grouped/propLabels scratch
+// (counting scatter — no per-step map) and their count is returned.
+//
+// Neither activeBlue nor propLabels is sorted, because the step's outcome
+// does not depend on the order in which candidates are scanned or groups
+// are resolved:
+//
+//   - each candidate makes at most one proposal per step, so it lands in
+//     exactly one group, and no group's accept or retire touches another
+//     group's proposers;
+//   - a red cluster's size, which decides accept or retire, changes only
+//     through its own group: proposers leave or die out of blue clusters,
+//     and blue clusters are never in propLabels;
+//   - depth[via] is fixed before the step starts: a via is red and never
+//     joins a cluster in the same step.
+//
+// The orders decide only where in a tree's Nodes a node lands, never which
+// (node, parent) edges the tree has. Carve and CarveParallel scan in the
+// same order, so their trees agree slice for slice.
 //
 //sdlint:hotpath
 func (st *state) collectProposals(phase int) int {
-	slices.Sort(st.activeBlue)
 	kept := st.activeBlue[:0]
 	st.props = st.props[:0]
 	for _, v := range st.activeBlue {
@@ -346,12 +373,11 @@ func (st *state) collectProposals(phase int) int {
 			st.inActive[v] = false // joined a red cluster or died
 			continue
 		}
-		bestLabel, bestVia, anyRed := -1, -1, false
+		bestLabel, bestVia := -1, -1
 		for _, u := range st.g.Neighbors(v) {
 			if !st.alive[u] || bit(st.label[u], phase) != 1 {
 				continue
 			}
-			anyRed = true
 			lu := st.label[u]
 			if st.clusters[lu].retired {
 				continue
@@ -363,12 +389,10 @@ func (st *state) collectProposals(phase int) int {
 		if bestLabel >= 0 {
 			st.props = append(st.props, proposal{label: bestLabel, node: v, via: bestVia})
 			kept = append(kept, v)
-		} else if anyRed {
-			// All adjacent red clusters are retired; the node can never be
-			// asked again this phase unless a neighbor joins a live red
-			// cluster, which re-adds it.
-			st.inActive[v] = false
 		} else {
+			// No live red neighbor, or all adjacent red clusters retired:
+			// the node is asked again this phase only if a neighbor joins a
+			// live red cluster, which re-adds it.
 			st.inActive[v] = false
 		}
 	}
@@ -384,7 +408,6 @@ func (st *state) collectProposals(phase int) int {
 // sequential merge then replays the sequential loop's exact
 // keep/drop/append decisions from those slots.
 func (st *state) collectProposalsParallel(phase int) int {
-	slices.Sort(st.activeBlue)
 	if cap(st.slots) < len(st.activeBlue) {
 		st.slots = make([]propSlot, len(st.activeBlue))
 	}
@@ -437,9 +460,9 @@ func (st *state) slotScan(phase, lo, hi int) {
 }
 
 // groupProposals buckets st.props by label into st.grouped: distinct labels
-// sorted in st.propLabels, group i ending at st.propEnds[i], proposals
-// within a group in blue-node order (matching the former per-label append
-// order). propCount is used as the counting/cursor array and left zeroed.
+// in first-proposal order in st.propLabels, group i ending at
+// st.propEnds[i], proposals within a group in props order. propCount is
+// used as the counting/cursor array and left zeroed.
 //
 //sdlint:hotpath
 func (st *state) groupProposals() {
@@ -450,7 +473,6 @@ func (st *state) groupProposals() {
 		}
 		st.propCount[p.label]++
 	}
-	slices.Sort(st.propLabels)
 	// Size grouped to props by appending (reuse idiom — steady state has
 	// the capacity); every slot is rewritten by the scatter below.
 	st.grouped = st.grouped[:0]
@@ -473,8 +495,12 @@ func (st *state) groupProposals() {
 }
 
 // resolveProposals applies accept/retire decisions for one step over the
-// grouped proposals.
-func (st *state) resolveProposals(phase int, m *rounds.Meter) {
+// grouped proposals. Every proposer is live and blue when its group comes
+// up (see collectProposals), so a retiring cluster kills all of its
+// proposers.
+//
+//sdlint:hotpath
+func (st *state) resolveProposals(m *rounds.Meter) {
 	maxDepth := 0
 	for _, l := range st.propLabels {
 		if d := st.clusters[l].maxDepth; d > maxDepth {
@@ -494,35 +520,34 @@ func (st *state) resolveProposals(phase int, m *rounds.Meter) {
 		} else {
 			x.retired = true
 			for _, p := range ps {
-				if st.label[p.node] != l && st.alive[p.node] && bit(st.label[p.node], phase) == 0 {
-					st.kill(p.node)
-				}
+				st.kill(p.node)
 			}
 		}
 	}
 }
 
+// accept moves every proposer in ps into cluster x (label l) and attaches
+// it to x's Steiner tree through its proposal edge. The via node is a live
+// member of x, so pos[via] indexes x's tree; by the no-rejoin invariant
+// (package doc) the proposer is not yet a node of that tree.
+//
+//sdlint:hotpath
 func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
 	for _, p := range ps {
-		v := p.node
-		if !st.alive[v] || st.label[v] == l {
-			continue // resolved earlier in this step by a smaller-label cluster
+		v, via := p.node, p.via
+		if st.label[via] != l {
+			treeInvariantBroken(l, via)
 		}
-		st.ensureTree(x, l)
 		st.clusters[st.label[v]].size--
 		st.label[v] = l
 		x.size++
-		// The via node is a live member of x, hence already in x's tree.
-		if err := x.tree.Add(v, p.via); err != nil {
-			// Cannot happen by the membership invariant; fail loudly in
-			// tests rather than corrupting the tree.
-			panic(fmt.Sprintf("rg: tree invariant broken: %v", err))
-		}
-		if d, ok := x.depth[v]; !ok || d > x.depth[p.via]+1 {
-			x.depth[v] = x.depth[p.via] + 1
-		}
-		if x.depth[v] > x.maxDepth {
-			x.maxDepth = x.depth[v]
+		st.attaches = append(st.attaches, attach{label: l, node: v, parent: st.pos[via]})
+		st.pos[v] = x.treeSize
+		x.treeSize++
+		d := st.depth[via] + 1
+		st.depth[v] = d
+		if d > x.maxDepth {
+			x.maxDepth = d
 		}
 		// Blue neighbors of the newly red node become candidates.
 		for _, w := range st.g.Neighbors(v) {
@@ -533,6 +558,14 @@ func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
 	}
 }
 
+// treeInvariantBroken reports a proposal whose via node is not a member of
+// the cluster it proposes to, so pos[via] does not index that cluster's
+// tree. Only a bug in the carver can get here; the formatting lives
+// outside accept so the hot path stays allocation-free.
+func treeInvariantBroken(l, via int) {
+	panic(fmt.Sprintf("rg: tree invariant broken: via %d is not a member of cluster %d", via, l))
+}
+
 func (st *state) kill(v int) {
 	st.clusters[st.label[v]].size--
 	st.alive[v] = false
@@ -541,31 +574,45 @@ func (st *state) kill(v int) {
 
 // carving materializes the final clusters in deterministic label order.
 // Labels are node ids, so ascending slice order IS sorted label order; the
-// label-to-dense-id table is one flat slice, not a map. Clusters that never
-// grew past their initial singleton get their trivial tree materialized
-// here — the only point where anyone can observe it.
+// label-to-dense-id table is one flat slice, not a map. The surviving
+// clusters' trees are cut from shared slabs (capacity-capped, so an Attach
+// on one tree reallocates instead of overwriting the next) and filled by
+// one replay of the attach log; attachments to clusters that emptied out
+// are skipped.
 func (st *state) carving() *cluster.Carving {
 	assign := make([]int, st.g.N())
 	for v := range assign {
 		assign[v] = cluster.Unclustered
 	}
-	k := 0
+	k, total := 0, 0
 	id := make([]int, len(st.clusters))
 	for l := range st.clusters {
 		if st.inS[l] && st.clusters[l].size > 0 {
 			id[l] = k
 			k++
+			total += st.clusters[l].treeSize
 		}
 	}
 	centers := make([]int, k)
 	trees := make([]*cluster.Tree, k)
+	headers := make([]cluster.Tree, k)
+	nodeSlab, parentSlab := make([]int, total), make([]int, total)
+	lo := 0
 	for l := range st.clusters {
 		if !st.inS[l] || st.clusters[l].size <= 0 {
 			continue
 		}
-		st.ensureTree(&st.clusters[l], l)
-		centers[id[l]] = st.clusters[l].tree.Root
-		trees[id[l]] = st.clusters[l].tree
+		hi := lo + st.clusters[l].treeSize
+		nodeSlab[lo], parentSlab[lo] = l, -1
+		t := &headers[id[l]]
+		*t = cluster.Tree{Root: l, Nodes: nodeSlab[lo : lo+1 : hi], Parent: parentSlab[lo : lo+1 : hi]}
+		centers[id[l]], trees[id[l]] = l, t
+		lo = hi
+	}
+	for _, a := range st.attaches {
+		if st.clusters[a.label].size > 0 {
+			trees[id[a.label]].Attach(a.node, a.parent)
+		}
 	}
 	for v, ok := range st.alive {
 		if ok {

@@ -2,6 +2,7 @@ package rg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,13 +246,8 @@ func carvingsEqual(a, b *cluster.Carving) bool {
 	}
 	for i := range a.Trees {
 		ta, tb := a.Trees[i], b.Trees[i]
-		if ta.Root != tb.Root || len(ta.Parent) != len(tb.Parent) {
+		if ta.Root != tb.Root || !slices.Equal(ta.Nodes, tb.Nodes) || !slices.Equal(ta.Parent, tb.Parent) {
 			return false
-		}
-		for v, p := range ta.Parent {
-			if q, ok := tb.Parent[v]; !ok || q != p {
-				return false
-			}
 		}
 	}
 	return true
@@ -316,6 +312,28 @@ func TestCarveParallelThresholdGate(t *testing.T) {
 		}
 		if !carvingsEqual(want, got) {
 			t.Fatalf("threshold=%d: carving diverges from sequential", threshold)
+		}
+	}
+}
+
+// TestCarveAllocs bounds Carve's heap allocations on connected-gnp(2000).
+// A carve allocates its O(n) state, the proposal scratch (amortized
+// growth) and the output slabs, but nothing per step, per acceptance or
+// per cluster. The map-backed trees this layout replaced took ~4205
+// allocations here; the slab layout takes ~86.
+func TestCarveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard is meaningless under -race instrumentation")
+	}
+	g := graph.ConnectedGnp(2000, 6.0/2000, 5)
+	const ceiling = 130
+	for _, eps := range []float64{0.3, 0.05} {
+		if avg := testing.AllocsPerRun(5, func() {
+			if _, err := Carve(g, nil, eps, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > ceiling {
+			t.Errorf("eps=%v: Carve allocates %.0f times per run, want <= %d", eps, avg, ceiling)
 		}
 	}
 }

@@ -188,14 +188,18 @@ type persistedResult struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
-// persistedTree is the on-disk form of a cluster Steiner tree.
+// persistedTree is the on-disk form of a cluster Steiner tree: the
+// cluster.Tree layout verbatim (nodes parents-first, parent as indexes into
+// nodes). Root -1 marks an absent tree slot.
 type persistedTree struct {
-	Root   int         `json:"root"`
-	Parent map[int]int `json:"parent"`
+	Root   int   `json:"root"`
+	Nodes  []int `json:"nodes,omitempty"`
+	Parent []int `json:"parent,omitempty"`
 }
 
-// resultSchema versions persistedResult.
-const resultSchema = "strongdecomp/result/v1"
+// resultSchema versions persistedResult. v2 stores trees as index-linked
+// slices; v1 records (map-shaped trees) fail the gate and are recomputed.
+const resultSchema = "strongdecomp/result/v2"
 
 // EncodeResultRecord serializes a served result into the same
 // schema-gated JSON record the disk tier spills — the wire form cluster
@@ -242,7 +246,7 @@ func buildRecord(key cacheKey, res *Result) (persistedResult, bool) {
 				rec.Trees = append(rec.Trees, persistedTree{Root: -1})
 				continue
 			}
-			rec.Trees = append(rec.Trees, persistedTree{Root: t.Root, Parent: t.Parent})
+			rec.Trees = append(rec.Trees, persistedTree{Root: t.Root, Nodes: t.Nodes, Parent: t.Parent})
 		}
 	case res.Decomposition != nil:
 		d := res.Decomposition
@@ -336,14 +340,18 @@ func decodeResult(data []byte, key cacheKey, n int) (*Result, bool) {
 			return nil, false
 		}
 	}
+	// Trees must have the cluster.Tree layout, which also rules out cycles.
+	var mark []bool
 	for _, t := range rec.Trees {
-		if t.Root < -1 || t.Root >= n {
-			return nil, false // Root == -1 marks an absent tree slot
+		if t.Root == -1 && len(t.Nodes) == 0 && len(t.Parent) == 0 {
+			continue // an absent tree slot
 		}
-		for v, parent := range t.Parent {
-			if v < 0 || v >= n || parent < -1 || parent >= n {
-				return nil, false
-			}
+		if mark == nil {
+			mark = make([]bool, n)
+		}
+		tr := cluster.Tree{Root: t.Root, Nodes: t.Nodes, Parent: t.Parent}
+		if tr.CheckLayout(mark) != nil {
+			return nil, false
 		}
 	}
 	out := &Result{
@@ -363,7 +371,7 @@ func decodeResult(data []byte, key cacheKey, n int) (*Result, bool) {
 				c.Trees = append(c.Trees, nil)
 				continue
 			}
-			c.Trees = append(c.Trees, &cluster.Tree{Root: t.Root, Parent: t.Parent})
+			c.Trees = append(c.Trees, &cluster.Tree{Root: t.Root, Nodes: t.Nodes, Parent: t.Parent})
 		}
 		out.Carving = c
 	case "decompose":

@@ -334,9 +334,9 @@ func TestServicePersistParamsKeyedSeparately(t *testing.T) {
 }
 
 // TestDecodeResultRejectsBadMetadata: parseable records carrying
-// out-of-range centers or tree node ids must be rejected (and hence
-// quarantined), not served — result records have no checksum, so this
-// validation is the only line of defense against bit rot in them.
+// out-of-range centers, malformed trees or an old schema must be rejected
+// (and hence quarantined), not served — result records have no checksum,
+// so this validation is the only line of defense against bit rot in them.
 func TestDecodeResultRejectsBadMetadata(t *testing.T) {
 	const n = 10
 	base := func() persistedResult {
@@ -345,6 +345,10 @@ func TestDecodeResultRejectsBadMetadata(t *testing.T) {
 			Kind: "carve", K: 2,
 			Assign:  []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1},
 			Centers: []int{0, 1},
+			Trees: []persistedTree{
+				{Root: 0, Nodes: []int{0, 2, 4}, Parent: []int{-1, 0, 1}},
+				{Root: -1},
+			},
 		}
 	}
 	key := cacheKey{hash: "h", params: "p"}
@@ -352,15 +356,25 @@ func TestDecodeResultRejectsBadMetadata(t *testing.T) {
 		t.Fatal("valid base record rejected")
 	}
 	mutations := map[string]func(*persistedResult){
-		"center-out-of-range":  func(r *persistedResult) { r.Centers[1] = n },
-		"center-negative":      func(r *persistedResult) { r.Centers[1] = -1 },
-		"centers-wrong-length": func(r *persistedResult) { r.Centers = []int{0} },
-		"tree-root-oob":        func(r *persistedResult) { r.Trees = []persistedTree{{Root: n}} },
-		"tree-parent-oob": func(r *persistedResult) {
-			r.Trees = []persistedTree{{Root: 1, Parent: map[int]int{1: -1, n + 5: 1}}}
-		},
-		"tree-parent-value-oob": func(r *persistedResult) {
-			r.Trees = []persistedTree{{Root: 1, Parent: map[int]int{1: -1, 2: n}}}
+		"schema-v1":             func(r *persistedResult) { r.Schema = "strongdecomp/result/v1" },
+		"center-out-of-range":   func(r *persistedResult) { r.Centers[1] = n },
+		"center-negative":       func(r *persistedResult) { r.Centers[1] = -1 },
+		"centers-wrong-length":  func(r *persistedResult) { r.Centers = []int{0} },
+		"tree-root-oob":         func(r *persistedResult) { r.Trees[1] = persistedTree{Root: n} },
+		"tree-no-nodes":         func(r *persistedResult) { r.Trees[1] = persistedTree{Root: 1} },
+		"tree-length-mismatch":  func(r *persistedResult) { r.Trees[0].Parent = []int{-1, 0} },
+		"tree-root-not-first":   func(r *persistedResult) { r.Trees[0].Root = 2 },
+		"tree-root-has-parent":  func(r *persistedResult) { r.Trees[0].Parent[0] = 1 },
+		"tree-parent-forward":   func(r *persistedResult) { r.Trees[0].Parent[1] = 2 },
+		"tree-parent-self":      func(r *persistedResult) { r.Trees[0].Parent[2] = 2 },
+		"tree-parent-negative":  func(r *persistedResult) { r.Trees[0].Parent[2] = -1 },
+		"tree-duplicate-node":   func(r *persistedResult) { r.Trees[0].Nodes[2] = 2 },
+		"tree-node-oob":         func(r *persistedResult) { r.Trees[0].Nodes[2] = n },
+		"tree-node-negative":    func(r *persistedResult) { r.Trees[0].Nodes[1] = -3 },
+		"tree-absent-has-nodes": func(r *persistedResult) { r.Trees[1].Nodes = []int{1} },
+		// The v1 failure mode: parents 2 -> 3 -> 2 never reach the root.
+		"tree-cycle": func(r *persistedResult) {
+			r.Trees[0] = persistedTree{Root: 1, Nodes: []int{1, 2, 3}, Parent: []int{-1, 2, 1}}
 		},
 	}
 	for name, mutate := range mutations {
