@@ -63,8 +63,9 @@ func WithWorkers(n int) EngineOption {
 
 // WithParallelBFS enables intra-component frontier parallelism: when a
 // graph (or a single giant component) meets the size threshold, the
-// component split, the carving-round scans, and the ball-growing BFS
-// fan out across the engine's workers instead of running on one.
+// component split and the ball-growing BFS of the Theorem 2.1 layer fan
+// out across the engine's workers instead of running on one; the weak
+// carver stays sequential.
 // Results are bit-identical to the sequential path — the parallel
 // traversals reproduce sequential BFS visit order exactly — so golden
 // fixtures and caches are unaffected. Off by default.

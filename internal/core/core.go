@@ -266,17 +266,10 @@ func CarveRG(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluste
 	return CarveRGContext(context.Background(), g, nodes, eps, m)
 }
 
-// CarveRGContext is CarveRG with cancellation support. When the context
-// carries a graph.ParallelConfig, the weak carver's ball-carving rounds
-// additionally use the frontier-parallel scans of rg.CarveParallel —
-// output-identical to rg.Carve, so determinism is preserved.
+// CarveRGContext is CarveRG with cancellation support. A
+// graph.ParallelConfig on the context reaches StrongCarveContext's
+// component splits and ball BFS; the weak carver itself is sequential.
 func CarveRGContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	if cfg, ok := graph.ParallelConfigFrom(ctx); ok {
-		weak := func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-			return rg.CarveParallel(g, nodes, eps, m, cfg)
-		}
-		return StrongCarveContext(ctx, g, nodes, eps, weak, m)
-	}
 	return StrongCarveContext(ctx, g, nodes, eps, rg.Carve, m)
 }
 

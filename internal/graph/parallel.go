@@ -85,8 +85,8 @@ func (c ParallelConfig) Enabled(n int) bool {
 type parallelCtxKey struct{}
 
 // WithParallelConfig returns a context carrying cfg; algorithm layers that
-// support frontier-parallel traversal (core.StrongCarveContext, the rg
-// carver via core.CarveRGContext) read it with ParallelConfigFrom.
+// support frontier-parallel traversal (core.StrongCarveContext's component
+// splits and ball BFS) read it with ParallelConfigFrom.
 func WithParallelConfig(ctx context.Context, cfg ParallelConfig) context.Context {
 	return context.WithValue(ctx, parallelCtxKey{}, cfg)
 }

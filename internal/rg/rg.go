@@ -28,6 +28,12 @@
 // l's, and keeps that bit from then on. A tree therefore never receives a
 // node it already holds, so a joining node's tree depth is exactly its via
 // node's plus one.
+//
+// A node is live while its label is non-negative; dead nodes and nodes
+// outside the carved set have label -1. A cluster that loses its last
+// member can never grow again, so its tree attachments are dropped at the
+// end of each phase and the carver's memory stays linear in the carved set
+// and the surviving trees.
 package rg
 
 import (
@@ -70,25 +76,6 @@ func ParamsFor(n int, eps float64) Params {
 // eps ∈ (0, 1]. The returned carving assigns cluster ids to surviving nodes
 // of the subgraph and leaves every other node Unclustered.
 func Carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	return carve(g, nodes, eps, m, graph.ParallelConfig{})
-}
-
-// CarveParallel is Carve with frontier-parallel phase scans: when cfg
-// enables parallelism for the carved set's size, the two embarrassingly
-// parallel read-only scans of each step — seeding the proposer candidate
-// set and computing every candidate's best (label, via) choice — are
-// chunked across cfg.Workers goroutines. All state mutation (proposal
-// resolution, acceptance, tree growth) stays sequential, so the carving
-// is bit-identical to Carve's: the parallel scans fill position-indexed
-// slots that a sequential merge consumes in the exact order the
-// sequential loop would have produced. Round-complexity charges to m are
-// likewise identical — parallelism is a wall-clock optimization, not a
-// model change.
-func CarveParallel(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.ParallelConfig) (*cluster.Carving, error) {
-	return carve(g, nodes, eps, m, cfg)
-}
-
-func carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.ParallelConfig) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("rg: eps %v outside (0, 1]", eps)
 	}
@@ -100,9 +87,6 @@ func carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.
 		}
 	}
 	st := newState(g, nodes, eps)
-	if cfg.Enabled(len(nodes)) {
-		st.workers = cfg.Workers
-	}
 	for phase := 0; phase < st.b; phase++ {
 		st.runPhase(phase, m)
 	}
@@ -124,7 +108,6 @@ type clusterInfo struct {
 	size     int // live members
 	treeSize int
 	maxDepth int
-	retired  bool
 }
 
 // attach is one tree attachment: node joined cluster label's tree as a
@@ -134,38 +117,27 @@ type attach struct {
 	label, node, parent int
 }
 
-// propSlot is one candidate's result from a parallel collect scan,
-// indexed by the candidate's position in activeBlue. label -1 means the
-// candidate found no live non-retired red cluster (or died / turned red)
-// and drops out of the active set at merge time.
-type propSlot struct {
-	label int
-	via   int
-}
-
 type state struct {
-	g       *graph.Graph
-	b       int
-	delta   float64
-	workers int // >1 enables the frontier-parallel phase scans
+	g     *graph.Graph
+	b     int
+	delta float64
 
-	nodes    []int // the carved set S; every cluster label is one of these
-	inS      []bool
-	alive    []bool
-	label    []int         // current cluster label, -1 for dead / outside S
-	clusters []clusterInfo // indexed by label; meaningful only for labels in S
+	nodes    []int         // the carved set S; every cluster label is one of these
+	label    []int         // current cluster label; -1 for dead nodes and nodes outside S
+	clusters []clusterInfo // indexed by label; a label outside S has size 0
+	retired  []bool        // per label: the cluster retired in the current phase
 
-	// Steiner trees: attaches logs every tree attachment of the run, and
-	// pos[v] is v's index in its current cluster's tree, depth[v] its hop
-	// distance from that tree's root. A node that has never moved is the
-	// root of its own singleton cluster (index 0, depth 0).
+	// Steiner trees: attaches logs the tree attachments of every cluster
+	// that still has a member (see dropDeadAttaches), and pos[v] is v's
+	// index in its current cluster's tree, depth[v] its hop distance from
+	// that tree's root. A node that has never moved is the root of its
+	// own singleton cluster (index 0, depth 0).
 	attaches []attach
 	pos      []int
 	depth    []int
 
-	activeBlue []int      // candidate proposers, maintained incrementally
-	inActive   []bool     // membership mask for activeBlue
-	slots      []propSlot // parallel collect results, one per activeBlue index
+	activeBlue []int  // candidate proposers, maintained incrementally
+	inActive   []bool // membership mask for activeBlue
 
 	// Proposal scratch, reused every step: props collects this step's
 	// proposals in activeBlue order, grouped holds them bucketed by label
@@ -187,10 +159,9 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		b:         labelBits(n),
 		delta:     eps / (2 * float64(labelBits(n))),
 		nodes:     nodes,
-		inS:       make([]bool, n),
-		alive:     make([]bool, n),
 		label:     make([]int, n),
 		clusters:  make([]clusterInfo, n),
+		retired:   make([]bool, n),
 		pos:       make([]int, n),
 		depth:     make([]int, n),
 		inActive:  make([]bool, n),
@@ -200,8 +171,6 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		st.label[v] = -1
 	}
 	for _, v := range nodes {
-		st.inS[v] = true
-		st.alive[v] = true
 		st.label[v] = v
 		st.clusters[v] = clusterInfo{size: 1, treeSize: 1}
 	}
@@ -239,24 +208,11 @@ func (st *state) runPhase(phase int, m *rounds.Meter) {
 	// Cluster labels are exactly the node ids of S, so the per-phase scans
 	// walk the carved set, not all of the host graph's cluster slots.
 	for _, l := range st.nodes {
-		st.clusters[l].retired = false
+		st.retired[l] = false
 	}
-	if st.workers > 1 {
-		st.seedActiveBlueParallel(phase)
-	} else {
-		st.seedActiveBlue(phase)
-	}
+	st.seedActiveBlue(phase)
 
-	for {
-		var pending int
-		if st.workers > 1 {
-			pending = st.collectProposalsParallel(phase)
-		} else {
-			pending = st.collectProposals(phase)
-		}
-		if pending == 0 {
-			break
-		}
+	for st.collectProposals(phase) > 0 {
 		m.Charge("rg/propose", 2)
 		st.resolveProposals(m)
 	}
@@ -268,66 +224,21 @@ func (st *state) runPhase(phase int, m *rounds.Meter) {
 		}
 	}
 	m.Charge("rg/congestion", int64(depth+1)*int64(phase+1))
+	st.dropDeadAttaches()
 }
 
 // seedActiveBlue initializes the proposer candidate set for a phase: every
-// live blue node with at least one live red neighbor.
+// live blue node of S. It reads labels only; the first collectProposals
+// drops the candidates that have no live, non-retired red neighbor. The
+// previous phase ended only once every candidate had dropped out, so the
+// set starts empty.
 //
 //sdlint:hotpath
 func (st *state) seedActiveBlue(phase int) {
-	st.activeBlue = st.activeBlue[:0]
-	for v := range st.inActive {
-		st.inActive[v] = false
-	}
-	for v, ok := range st.alive {
-		if !ok || bit(st.label[v], phase) != 0 {
-			continue
+	for _, v := range st.nodes {
+		if l := st.label[v]; l >= 0 && bit(l, phase) == 0 {
+			st.addActive(v)
 		}
-		for _, u := range st.g.Neighbors(v) {
-			if st.alive[u] && bit(st.label[u], phase) == 1 {
-				st.addActive(v)
-				break
-			}
-		}
-	}
-}
-
-// seedActiveBlueParallel computes the same candidate set as
-// seedActiveBlue with the per-node test chunked across workers: each
-// chunk writes inActive[v] for every v in its range (which doubles as
-// the reset the sequential path does up front), then a sequential
-// ascending compaction rebuilds activeBlue — the same ascending order
-// the sequential scan appends in.
-func (st *state) seedActiveBlueParallel(phase int) {
-	n := len(st.inActive)
-	graph.ForChunks(n, st.workers, func(_, lo, hi int) {
-		st.seedScan(phase, lo, hi)
-	})
-	st.activeBlue = st.activeBlue[:0]
-	for v := 0; v < n; v++ {
-		if st.inActive[v] {
-			st.activeBlue = append(st.activeBlue, v)
-		}
-	}
-}
-
-// seedScan is seedActiveBlueParallel's chunk body: a pure function of
-// the (stable during seeding) alive/label arrays, writing only the
-// chunk's own inActive range.
-//
-//sdlint:hotpath
-func (st *state) seedScan(phase, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		active := false
-		if st.alive[v] && bit(st.label[v], phase) == 0 {
-			for _, u := range st.g.Neighbors(v) {
-				if st.alive[u] && bit(st.label[u], phase) == 1 {
-					active = true
-					break
-				}
-			}
-		}
-		st.inActive[v] = active
 	}
 }
 
@@ -361,25 +272,21 @@ func (st *state) addActive(v int) {
 //     joins a cluster in the same step.
 //
 // The orders decide only where in a tree's Nodes a node lands, never which
-// (node, parent) edges the tree has. Carve and CarveParallel scan in the
-// same order, so their trees agree slice for slice.
+// (node, parent) edges the tree has.
 //
 //sdlint:hotpath
 func (st *state) collectProposals(phase int) int {
 	kept := st.activeBlue[:0]
 	st.props = st.props[:0]
 	for _, v := range st.activeBlue {
-		if !st.alive[v] || bit(st.label[v], phase) != 0 {
+		if lv := st.label[v]; lv < 0 || bit(lv, phase) != 0 {
 			st.inActive[v] = false // joined a red cluster or died
 			continue
 		}
 		bestLabel, bestVia := -1, -1
 		for _, u := range st.g.Neighbors(v) {
-			if !st.alive[u] || bit(st.label[u], phase) != 1 {
-				continue
-			}
 			lu := st.label[u]
-			if st.clusters[lu].retired {
+			if lu < 0 || bit(lu, phase) != 1 || st.retired[lu] {
 				continue
 			}
 			if bestLabel == -1 || lu < bestLabel || (lu == bestLabel && u < bestVia) {
@@ -399,64 +306,6 @@ func (st *state) collectProposals(phase int) int {
 	st.activeBlue = kept
 	st.groupProposals()
 	return len(st.props)
-}
-
-// collectProposalsParallel computes the same proposals as
-// collectProposals: the per-candidate best-(label, via) search — a
-// read-only scan over alive/label/retired, which only resolveProposals
-// mutates — is chunked across workers into position-indexed slots, and a
-// sequential merge then replays the sequential loop's exact
-// keep/drop/append decisions from those slots.
-func (st *state) collectProposalsParallel(phase int) int {
-	if cap(st.slots) < len(st.activeBlue) {
-		st.slots = make([]propSlot, len(st.activeBlue))
-	}
-	st.slots = st.slots[:len(st.activeBlue)]
-	graph.ForChunks(len(st.activeBlue), st.workers, func(_, lo, hi int) {
-		st.slotScan(phase, lo, hi)
-	})
-	kept := st.activeBlue[:0]
-	st.props = st.props[:0]
-	for i, v := range st.activeBlue {
-		if l := st.slots[i].label; l >= 0 {
-			st.props = append(st.props, proposal{label: l, node: v, via: st.slots[i].via})
-			kept = append(kept, v)
-		} else {
-			st.inActive[v] = false
-		}
-	}
-	st.activeBlue = kept
-	st.groupProposals()
-	return len(st.props)
-}
-
-// slotScan is collectProposalsParallel's chunk body: candidate i's
-// smallest-(label, via) red neighbor, or label -1 when it has none (dead,
-// turned red, or all adjacent red clusters retired — the cases the
-// sequential loop drops from the active set).
-//
-//sdlint:hotpath
-func (st *state) slotScan(phase, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := st.activeBlue[i]
-		sl := &st.slots[i]
-		sl.label, sl.via = -1, -1
-		if !st.alive[v] || bit(st.label[v], phase) != 0 {
-			continue
-		}
-		for _, u := range st.g.Neighbors(v) {
-			if !st.alive[u] || bit(st.label[u], phase) != 1 {
-				continue
-			}
-			lu := st.label[u]
-			if st.clusters[lu].retired {
-				continue
-			}
-			if sl.label == -1 || lu < sl.label || (lu == sl.label && u < sl.via) {
-				sl.label, sl.via = lu, u
-			}
-		}
-	}
 }
 
 // groupProposals buckets st.props by label into st.grouped: distinct labels
@@ -518,7 +367,7 @@ func (st *state) resolveProposals(m *rounds.Meter) {
 		if float64(len(ps)) >= st.delta*float64(x.size) {
 			st.accept(x, l, ps)
 		} else {
-			x.retired = true
+			st.retired[l] = true
 			for _, p := range ps {
 				st.kill(p.node)
 			}
@@ -551,7 +400,7 @@ func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
 		}
 		// Blue neighbors of the newly red node become candidates.
 		for _, w := range st.g.Neighbors(v) {
-			if st.alive[w] {
+			if st.label[w] >= 0 {
 				st.addActive(w)
 			}
 		}
@@ -568,8 +417,27 @@ func treeInvariantBroken(l, via int) {
 
 func (st *state) kill(v int) {
 	st.clusters[st.label[v]].size--
-	st.alive[v] = false
 	st.label[v] = -1
+}
+
+// dropDeadAttaches filters the attach log, in place and stably, down to
+// the attachments of clusters that still have a member. A cluster that
+// has emptied can never grow again: every acceptance attaches through a
+// via node that is a member of the accepting cluster, and an empty
+// cluster has none. carving() would skip its attachments anyway, so
+// dropping them at the end of each phase changes nothing but the log's
+// length, which stays the total size of the live trees plus at most |S|
+// attachments made during one phase.
+//
+//sdlint:hotpath
+func (st *state) dropDeadAttaches() {
+	kept := st.attaches[:0]
+	for _, a := range st.attaches {
+		if st.clusters[a.label].size > 0 {
+			kept = append(kept, a)
+		}
+	}
+	st.attaches = kept
 }
 
 // carving materializes the final clusters in deterministic label order.
@@ -577,8 +445,9 @@ func (st *state) kill(v int) {
 // label-to-dense-id table is one flat slice, not a map. The surviving
 // clusters' trees are cut from shared slabs (capacity-capped, so an Attach
 // on one tree reallocates instead of overwriting the next) and filled by
-// one replay of the attach log; attachments to clusters that emptied out
-// are skipped.
+// one replay of the attach log, which after the last phase holds only the
+// surviving clusters' attachments (see dropDeadAttaches). A label outside
+// S has size 0, so the size test alone picks the surviving clusters.
 func (st *state) carving() *cluster.Carving {
 	assign := make([]int, st.g.N())
 	for v := range assign {
@@ -587,7 +456,7 @@ func (st *state) carving() *cluster.Carving {
 	k, total := 0, 0
 	id := make([]int, len(st.clusters))
 	for l := range st.clusters {
-		if st.inS[l] && st.clusters[l].size > 0 {
+		if st.clusters[l].size > 0 {
 			id[l] = k
 			k++
 			total += st.clusters[l].treeSize
@@ -599,7 +468,7 @@ func (st *state) carving() *cluster.Carving {
 	nodeSlab, parentSlab := make([]int, total), make([]int, total)
 	lo := 0
 	for l := range st.clusters {
-		if !st.inS[l] || st.clusters[l].size <= 0 {
+		if st.clusters[l].size <= 0 {
 			continue
 		}
 		hi := lo + st.clusters[l].treeSize
@@ -610,13 +479,11 @@ func (st *state) carving() *cluster.Carving {
 		lo = hi
 	}
 	for _, a := range st.attaches {
-		if st.clusters[a.label].size > 0 {
-			trees[id[a.label]].Attach(a.node, a.parent)
-		}
+		trees[id[a.label]].Attach(a.node, a.parent)
 	}
-	for v, ok := range st.alive {
-		if ok {
-			assign[v] = id[st.label[v]]
+	for v, l := range st.label {
+		if l >= 0 {
+			assign[v] = id[l]
 		}
 	}
 	return &cluster.Carving{Assign: assign, K: k, Centers: centers, Trees: trees}
