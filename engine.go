@@ -95,7 +95,7 @@ func WithEngineAlgorithm(name string) EngineOption {
 // pool.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
-		algo:         ChangGhaffari.String(),
+		algo:         DefaultAlgorithm,
 		workers:      runtime.GOMAXPROCS(0),
 		parThreshold: graph.DefaultParallelThreshold,
 	}
@@ -216,8 +216,8 @@ func (c *stageClock) take() []registry.StageTiming {
 // The Params is normalized and validated (an empty Algorithm means the
 // engine's configured construction), multi-component graphs run their
 // components concurrently on the worker pool, and metering is opt-in via
-// p.Meter with the total reported on Outcome.Rounds. Carve, Decompose,
-// and DecomposeBatch are thin shims over the same internals.
+// p.Meter with the total reported on Outcome.Rounds. DecomposeBatch is a
+// thin shim over the same internals.
 func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) {
 	if p.Algorithm == "" {
 		p.Algorithm = e.algo
@@ -253,16 +253,6 @@ func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) 
 	}
 	out.Stages = sc.take()
 	return out, nil
-}
-
-// Carve runs the engine's construction as a ball carving.
-//
-// Deprecated: build a Params{Kind: KindCarve, ...} and call Run; this
-// positional (eps, opts) form survives only for existing callers.
-func (e *Engine) Carve(ctx context.Context, g *Graph, eps float64, opts *RunOptions) (*Carving, error) {
-	o := opts.Normalized()
-	p := Params{Algorithm: e.algo, Kind: KindCarve, Eps: eps, Seed: o.Seed, Nodes: o.Nodes}
-	return e.carve(ctx, g, p, o.Meter, nil)
 }
 
 // carve is the carving core: like decomposeGraph, a multi-component graph
@@ -319,20 +309,6 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 	c, err := cluster.MergeCarvings(g.N(), pieces)
 	sc.mark("merge")
 	return c, err
-}
-
-// Decompose decomposes g, running its connected components concurrently on
-// the worker pool and merging the per-component results. Component i runs
-// with seed opts.Seed + i, so results are deterministic regardless of
-// scheduling. The attached meter receives the parallel (max) fold of the
-// per-component costs.
-//
-// Deprecated: build a Params{Kind: KindDecompose, ...} and call Run; this
-// *RunOptions form survives only for existing callers.
-func (e *Engine) Decompose(ctx context.Context, g *Graph, opts *RunOptions) (*Decomposition, error) {
-	o := opts.Normalized()
-	p := Params{Algorithm: e.algo, Kind: KindDecompose, Seed: o.Seed}
-	return e.decomposeGraph(ctx, g, p, o.Meter, true, nil)
 }
 
 // DecomposeBatch decomposes every graph of the batch on the worker pool and

@@ -44,7 +44,7 @@ func computeFixtures(t testing.TB) []engineFixture {
 	var out []engineFixture
 	for _, algo := range Algorithms() {
 		e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(4))
-		d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 42})
+		d, err := engineDecompose(context.Background(), e, g, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}

@@ -32,7 +32,7 @@ func TestEngineFixturesParallelBFS(t *testing.T) {
 	for _, algo := range Algorithms() {
 		e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(4),
 			WithParallelBFS(true), WithParallelBFSThreshold(0))
-		d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 42})
+		d, err := engineDecompose(context.Background(), e, g, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -66,11 +66,11 @@ func TestEngineParallelBFSSingleComponent(t *testing.T) {
 		parE := NewEngine(WithEngineAlgorithm(algo), WithWorkers(4),
 			WithParallelBFS(true), WithParallelBFSThreshold(0))
 
-		want, err := seqE.Decompose(context.Background(), g, &RunOptions{Seed: 7})
+		want, err := engineDecompose(context.Background(), seqE, g, 7)
 		if err != nil {
 			t.Fatalf("%s: sequential decompose: %v", algo, err)
 		}
-		got, err := parE.Decompose(context.Background(), g, &RunOptions{Seed: 7})
+		got, err := engineDecompose(context.Background(), parE, g, 7)
 		if err != nil {
 			t.Fatalf("%s: parallel decompose: %v", algo, err)
 		}
@@ -79,11 +79,11 @@ func TestEngineParallelBFSSingleComponent(t *testing.T) {
 			t.Errorf("%s: parallel single-component decompose diverges from sequential", algo)
 		}
 
-		wantC, err := seqE.Carve(context.Background(), g, 0.5, &RunOptions{Seed: 7})
+		wantC, err := engineCarve(context.Background(), seqE, g, 0.5, 7)
 		if err != nil {
 			t.Fatalf("%s: sequential carve: %v", algo, err)
 		}
-		gotC, err := parE.Carve(context.Background(), g, 0.5, &RunOptions{Seed: 7})
+		gotC, err := engineCarve(context.Background(), parE, g, 0.5, 7)
 		if err != nil {
 			t.Fatalf("%s: parallel carve: %v", algo, err)
 		}

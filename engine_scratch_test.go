@@ -65,11 +65,11 @@ func TestEngineDecomposeMultiComponentMatchesDirect(t *testing.T) {
 	par := NewEngine(WithWorkers(8))
 	seq := NewEngine(WithWorkers(1))
 	for seed := int64(1); seed <= 3; seed++ {
-		dp, err := par.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+		dp, err := engineDecompose(context.Background(), par, g, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := seq.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+		ds, err := engineDecompose(context.Background(), seq, g, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 
 	ctx := context.Background()
 	connected := strongdecomp.PathGraph(16)
-	if _, err := e.Decompose(ctx, connected, nil); err != nil {
+	if _, err := e.Run(ctx, connected, strongdecomp.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats()
@@ -40,7 +40,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Decompose(ctx, split, nil); err != nil {
+	if _, err := e.Run(ctx, split, strongdecomp.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats()
@@ -77,7 +77,7 @@ func TestEngineStatsCarveMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Carve(context.Background(), split, 0.5, nil); err != nil {
+	if _, err := e.Run(context.Background(), split, strongdecomp.Params{Kind: strongdecomp.KindCarve, Eps: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.ComponentMerges != 1 || s.Runs != 2 {

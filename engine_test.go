@@ -62,7 +62,7 @@ func TestEngineDecomposeRunsComponentsInParallel(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		d, err := e.Decompose(context.Background(), g, nil)
+		d, err := engineDecompose(context.Background(), e, g, 0)
 		if err == nil && d.K != 2 {
 			err = fmt.Errorf("merged %d clusters, want 2", d.K)
 		}
@@ -160,25 +160,27 @@ func TestEngineDecomposeMergesComponentsCorrectly(t *testing.T) {
 	g := twoComponentGraph(t)
 	for _, name := range []string{"chang-ghaffari", "mpx", "sequential"} {
 		e := NewEngine(WithWorkers(2), WithEngineAlgorithm(name))
-		m := NewMeter()
-		d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 3, Meter: m})
+		out, err := e.Run(context.Background(), g, Params{Seed: 3, Meter: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyDecomposition(g, d, -1, true); err != nil {
+		if err := VerifyDecomposition(g, out.Decomposition, -1, true); err != nil {
 			t.Fatalf("%s merged decomposition invalid: %v", name, err)
 		}
-		if m.Rounds() == 0 {
-			t.Fatalf("%s: meter empty after metered engine run", name)
+		if out.Rounds == 0 {
+			t.Fatalf("%s: no rounds after metered engine run", name)
 		}
 		// A meter reused across runs accumulates sequentially: the second
 		// run must add on top of the first, not max against it.
-		first := m.Rounds()
-		if _, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 3, Meter: m}); err != nil {
-			t.Fatal(err)
-		}
-		if m.Rounds() <= first {
-			t.Fatalf("%s: reused meter did not accumulate (%d then %d)", name, first, m.Rounds())
+		m := NewMeter()
+		for range 2 {
+			first := m.Rounds()
+			if _, err := e.DecomposeBatch(context.Background(), []*Graph{g}, &RunOptions{Seed: 3, Meter: m}); err != nil {
+				t.Fatal(err)
+			}
+			if m.Rounds() <= first {
+				t.Fatalf("%s: reused meter did not accumulate (%d then %d)", name, first, m.Rounds())
+			}
 		}
 	}
 }
@@ -195,7 +197,7 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+			d, err := engineDecompose(context.Background(), e, g, seed)
 			if err == nil {
 				err = VerifyDecomposition(g, d, -1, true)
 			}
@@ -221,12 +223,30 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 // engine.
 func TestEngineUnknownAlgorithm(t *testing.T) {
 	e := NewEngine(WithEngineAlgorithm("nope"))
-	if _, err := e.Decompose(context.Background(), PathGraph(3), nil); !errors.Is(err, ErrUnknownAlgorithm) {
+	if _, err := engineDecompose(context.Background(), e, PathGraph(3), 0); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("want ErrUnknownAlgorithm, got %v", err)
 	}
-	if _, err := e.Carve(context.Background(), PathGraph(3), 0.5, nil); !errors.Is(err, ErrUnknownAlgorithm) {
+	if _, err := engineCarve(context.Background(), e, PathGraph(3), 0.5, 0); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("want ErrUnknownAlgorithm, got %v", err)
 	}
+}
+
+// engineDecompose runs a seeded decomposition through Engine.Run.
+func engineDecompose(ctx context.Context, e *Engine, g *Graph, seed int64) (*Decomposition, error) {
+	out, err := e.Run(ctx, g, Params{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return out.Decomposition, nil
+}
+
+// engineCarve runs a seeded ball carving through Engine.Run.
+func engineCarve(ctx context.Context, e *Engine, g *Graph, eps float64, seed int64) (*Carving, error) {
+	out, err := e.Run(ctx, g, Params{Kind: KindCarve, Eps: eps, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return out.Carving, nil
 }
 
 // TestEngineCarveDelegates checks the carving path of the engine on a
@@ -235,7 +255,7 @@ func TestEngineUnknownAlgorithm(t *testing.T) {
 func TestEngineCarveDelegates(t *testing.T) {
 	e := NewEngine(WithWorkers(2))
 	g := CycleGraph(64)
-	c, err := e.Carve(context.Background(), g, 0.5, nil)
+	c, err := engineCarve(context.Background(), e, g, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +266,7 @@ func TestEngineCarveDelegates(t *testing.T) {
 	multi := twoComponentGraph(t)
 	for _, name := range []string{"chang-ghaffari", "mpx"} {
 		e := NewEngine(WithWorkers(2), WithEngineAlgorithm(name))
-		c, err := e.Carve(context.Background(), multi, 0.5, &RunOptions{Seed: 4})
+		c, err := engineCarve(context.Background(), e, multi, 0.5, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -43,7 +43,7 @@ func main() {
 		{"torus (benign)", torus},
 	} {
 		c, err := strongdecomp.BallCarveContext(ctx, tc.g, eps,
-			strongdecomp.WithAlgorithm(strongdecomp.ChangGhaffariImproved))
+			strongdecomp.WithAlgorithmName("chang-ghaffari-improved"))
 		if err != nil {
 			log.Fatal(err)
 		}

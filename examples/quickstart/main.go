@@ -46,7 +46,7 @@ func main() {
 	fmt.Println("decomposition verified: same-color clusters non-adjacent, clusters connected")
 
 	// The improved variant (Theorem 3.4) trades rounds for diameter.
-	d2, err := strongdecomp.Decompose(g, strongdecomp.WithAlgorithm(strongdecomp.ChangGhaffariImproved))
+	d2, err := strongdecomp.Decompose(g, strongdecomp.WithAlgorithmName("chang-ghaffari-improved"))
 	if err != nil {
 		log.Fatal(err)
 	}

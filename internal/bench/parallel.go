@@ -131,7 +131,7 @@ func ParallelSuite(newRunner func(workers int) PerfRunner, short bool, csrPath s
 			e := newRunner(w)
 			res, err := runPerfCase(perfCase{fmt.Sprintf("decompose-giant/w%d", w), dg.N(), func(iters int) error {
 				for i := 0; i < iters; i++ {
-					if _, err := e.Decompose(ctx, dg, &registry.RunOptions{Seed: 42}); err != nil {
+					if _, err := e.Run(ctx, dg, registry.Params{Kind: registry.KindDecompose, Seed: 42}); err != nil {
 						return err
 					}
 				}

@@ -16,19 +16,14 @@ import (
 	"testing"
 	"time"
 
-	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/registry"
 )
 
-// PerfRunner is the execution surface the engine-path cases measure;
-// *strongdecomp.Engine satisfies it (the same shape as service.Runner,
-// redeclared because internal/bench cannot import the root package).
-type PerfRunner interface {
-	Decompose(ctx context.Context, g *graph.Graph, opts *registry.RunOptions) (*cluster.Decomposition, error)
-	Carve(ctx context.Context, g *graph.Graph, eps float64, opts *registry.RunOptions) (*cluster.Carving, error)
-}
+// PerfRunner is the execution surface the engine-path cases measure:
+// registry.Runner, which *strongdecomp.Engine satisfies.
+type PerfRunner = registry.Runner
 
 // PerfResult is one measured line of the substrate suite.
 type PerfResult struct {
@@ -153,7 +148,7 @@ func PerfSuite(newRunner func(algo string) PerfRunner, algos []string, short boo
 			cases = append(cases,
 				perfCase{"engine-decompose/" + algo, w.N(), func(iters int) error {
 					for i := 0; i < iters; i++ {
-						if _, err := e.Decompose(ctx, w, &registry.RunOptions{Seed: 42}); err != nil {
+						if _, err := e.Run(ctx, w, registry.Params{Kind: registry.KindDecompose, Seed: 42}); err != nil {
 							return err
 						}
 					}
@@ -161,7 +156,7 @@ func PerfSuite(newRunner func(algo string) PerfRunner, algos []string, short boo
 				}},
 				perfCase{"engine-carve/" + algo, w.N(), func(iters int) error {
 					for i := 0; i < iters; i++ {
-						if _, err := e.Carve(ctx, w, 0.5, &registry.RunOptions{Seed: 42}); err != nil {
+						if _, err := e.Run(ctx, w, registry.Params{Kind: registry.KindCarve, Eps: 0.5, Seed: 42}); err != nil {
 							return err
 						}
 					}

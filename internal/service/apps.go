@@ -1,20 +1,14 @@
 package service
 
-// The applications tier: serving MIS, (Δ+1) coloring, approximate
-// diameter, and decomposition spanners over cached decompositions. One
-// app request resolves its graph by hash, obtains the underlying
-// decomposition through the full serving path (LRU → disk → peer →
-// compute, via Service.do — so the decomposition is computed at most once
-// across every app that needs it), runs the application, and caches the
-// answer under its own content-addressed key (graph hash, app,
-// Params.Key) with the same memory-LRU + disk-record tiering results get.
-// Concurrent identical app requests share one run through a dedicated
-// singleflight.
+// Serving MIS, (Δ+1) coloring, approximate diameter, and decomposition
+// spanners over cached decompositions. RunApp answers through the app
+// tier (tier.go) under the key (graph hash, app, Params.Key); runApp, its
+// miss, resolves the decomposition through Service.do — so it is computed
+// at most once across every app that needs it — and runs the app.
 //
 // With Config.StrictApps set, no answer leaves the service unverified:
-// fresh MIS and coloring runs must pass VerifyMIS/VerifyColoring,
-// diameter and spanner answers their shape checks, and a persisted app
-// record that fails verification is quarantined and recomputed.
+// fresh answers must pass verifyAppResult, and the app codec's verify
+// hook quarantines a persisted record that fails it.
 
 import (
 	"context"
@@ -212,78 +206,25 @@ func (s *Service) RunApp(ctx context.Context, app string, req *Request) (*AppRes
 		slog.String("app", app), slog.String("graph", hash))
 
 	key := cacheKey{hash: hash, params: appParamsKey(app, p)}
-	lookup := time.Now()
-	if res, ok := s.appCache.get(key); ok && res.coversN(g.N()) {
-		st.cacheHits.Add(1)
-		obs.Span(ctx, "cache", lookup,
-			slog.String("tier", "lru"), slog.String("app", app))
+	res, how, err := s.answers.lookup(ctx, st, key, g, req.Timeout, []slog.Attr{slog.String("app", app)},
+		func(runCtx context.Context) (*AppResult, func() *AppResult, error) {
+			out, err := s.runApp(runCtx, app, g, hash, p)
+			if err != nil {
+				return nil, nil, err
+			}
+			st.recordLatency(out.Elapsed)
+			obs.ObserveApp(runCtx, app, out.Elapsed)
+			return out, nil, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	switch how {
+	case servedCache:
 		out := *res
 		out.CacheHit = true
 		return &out, nil
-	} else if ok {
-		s.appCache.remove(key)
-	}
-	// Memory miss: the disk tier may hold this exact app record from a
-	// previous run or process. In strict mode a persisted record must
-	// re-pass its verifier before it is served; one that fails is
-	// quarantined and recomputed, exactly like a corrupt record.
-	if s.persist != nil {
-		if res, ok := s.persist.loadApp(key, g.N()); ok {
-			if s.cfg.StrictApps {
-				if err := verifyAppResult(g, res); err != nil {
-					s.persist.quarantineApp(key)
-					res = nil
-				} else {
-					res.Verified = true
-				}
-			}
-			if res != nil {
-				st.cacheHits.Add(1)
-				obs.Span(ctx, "cache", lookup,
-					slog.String("tier", "disk"), slog.String("app", app))
-				s.appCache.put(key, res)
-				out := *res
-				out.CacheHit = true
-				return &out, nil
-			}
-		}
-	}
-	st.cacheMisses.Add(1)
-
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
-	res, err, shared := s.appFlight.do(ctx, key, func(runCtx context.Context) (*AppResult, error) {
-		// The flight detaches from the caller's cancellation; the trace
-		// and collector must survive the detach (see Service.do).
-		runCtx = obs.Transfer(runCtx, ctx)
-		if s.cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, s.cfg.Timeout)
-			defer cancel()
-		}
-		out, err := s.runApp(runCtx, app, g, hash, p)
-		if err != nil {
-			return nil, err
-		}
-		st.recordLatency(out.Elapsed)
-		obs.ObserveApp(runCtx, app, out.Elapsed)
-		s.appCache.put(key, out)
-		if s.persist != nil {
-			s.persist.saveApp(key, out)
-		}
-		return out, nil
-	})
-	if shared {
-		st.dedupShared.Add(1)
-	}
-	if err != nil {
-		st.errors.Add(1)
-		return nil, err
-	}
-	if shared {
+	case servedShared:
 		out := *res
 		out.Shared = true
 		return &out, nil

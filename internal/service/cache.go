@@ -17,8 +17,8 @@ type cacheKey struct {
 	params string
 }
 
-// lru is a minimal mutex-guarded LRU map used by both the result cache and
-// the graph store. A max of <= 0 disables it (every get misses). An
+// lru is a minimal mutex-guarded LRU map used by the serving tiers and the
+// graph store. A max of <= 0 disables it (every get misses). An
 // optional weight function adds a total-weight bound on top of the entry
 // bound, so a few huge values cannot pin unbounded memory behind a small
 // entry count.
@@ -125,11 +125,6 @@ func (c *lru[K, V]) len() int {
 	defer c.mu.Unlock()
 	return len(c.items)
 }
-
-// resultCache is the LRU over computed results.
-type resultCache struct{ *lru[cacheKey, *Result] }
-
-func newResultCache(max int) *resultCache { return &resultCache{newLRU[cacheKey, *Result](max)} }
 
 // graphStore is the LRU over uploaded graphs, keyed by content hash.
 // Storing the same graph twice is a no-op refresh (identical hash, and any

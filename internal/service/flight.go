@@ -12,8 +12,7 @@ import (
 // for a key starts the computation, every concurrent caller for the same
 // key blocks on its completion and shares the result. Unlike a cache this
 // holds no history — an entry lives exactly as long as one computation.
-// The group is generic in the result type so the decomposition path
-// (*Result) and the applications path (*AppResult) share one mechanism.
+// Each serving tier (tier.go) owns one group over its value type.
 type flightGroup[V any] struct {
 	mu    sync.Mutex
 	calls map[cacheKey]*flightCall[V]

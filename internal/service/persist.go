@@ -3,10 +3,11 @@ package service
 // The disk tier of the serving layer. When Config.DataDir is set, the
 // Service becomes persistent: every stored graph is spilled to a binary
 // CSR snapshot (content-addressed by its graphio.Hash, loaded back through
-// the mmap path on a memory miss) and every computed result is spilled to
-// a JSON record keyed by (graph hash, Params.Key()). Both tiers survive
-// restarts — a rebooted server answers GET /v1/graphs/{hash} and repeated
-// decompositions without re-upload or recomputation.
+// the mmap path on a memory miss), and every computed result and app
+// answer is spilled by its tier (tier.go) to a JSON record keyed by
+// (graph hash, params key). Both survive restarts — a rebooted server
+// answers GET /v1/graphs/{hash}, repeated decompositions and repeated app
+// requests without re-upload or recomputation.
 //
 // Layout under the data directory:
 //
@@ -14,8 +15,8 @@ package service
 //	<dir>/results/<graph-hash>-<params>.json persisted result record
 //	<dir>/apps/<graph-hash>-<params>.json    persisted application record
 //
-// where <params> is the lowercase hex of the canonical Params.Key bytes
-// (for app records, of the app-prefixed key — see appParamsKey).
+// where <params> is the lowercase hex SHA-256 of the canonical Params.Key
+// bytes (for app records, of the app-prefixed key — see appParamsKey).
 // Every file is written via an adjacent temp file + atomic rename.
 //
 // Corruption policy: a file that fails checksum, decoding, or structural
@@ -25,8 +26,6 @@ package service
 // result recomputes).
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,38 +38,35 @@ import (
 	"strongdecomp/internal/graphio"
 )
 
-// persistStore is the disk tier behind the in-memory graph store and
-// result cache. All operations are best-effort and self-contained: a
-// failed save is counted, a corrupt file is quarantined, and the caller
-// proceeds as on a plain miss.
+// persistStore is the graph half of the disk tier, plus the quarantine
+// and the counters every tier shares. All operations are best-effort and
+// self-contained: a failed save is counted, a corrupt file is quarantined,
+// and the caller proceeds as on a plain miss.
 type persistStore struct {
-	graphDir  string
-	resultDir string
-	appDir    string
+	graphDir string
 
-	graphSaves     atomic.Int64
-	graphDiskHits  atomic.Int64
-	resultSaves    atomic.Int64
-	resultDiskHits atomic.Int64
-	appSaves       atomic.Int64
-	appDiskHits    atomic.Int64
-	quarantined    atomic.Int64
-	saveErrors     atomic.Int64
+	graphSaves    atomic.Int64
+	graphDiskHits atomic.Int64
+	quarantined   atomic.Int64
+	saveErrors    atomic.Int64
 }
 
-// newPersistStore creates the data-directory layout.
+// newPersistStore creates the graph directory under dir; each tier
+// creates its own record directory (newTier).
 func newPersistStore(dir string) (*persistStore, error) {
-	p := &persistStore{
-		graphDir:  filepath.Join(dir, "graphs"),
-		resultDir: filepath.Join(dir, "results"),
-		appDir:    filepath.Join(dir, "apps"),
-	}
-	for _, d := range []string{p.graphDir, p.resultDir, p.appDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("service: data dir: %w", err)
-		}
+	p := &persistStore{graphDir: filepath.Join(dir, "graphs")}
+	if err := mkdirData(p.graphDir); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// mkdirData creates one directory of the data-directory layout.
+func mkdirData(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("service: data dir: %w", err)
+	}
+	return nil
 }
 
 // validHash reports whether h is a plausible graphio.Hash (64 lowercase
@@ -92,18 +88,6 @@ func validHash(h string) bool {
 // graphPath returns the snapshot path of a graph hash.
 func (p *persistStore) graphPath(hash string) string {
 	return filepath.Join(p.graphDir, hash+".csr")
-}
-
-// resultPath returns the record path of a cache key: the graph hash plus
-// the hex SHA-256 of the canonical Params.Key bytes. Hashing (rather than
-// hex-encoding the key itself) keeps the name fixed-length — algorithm
-// names are caller-chosen and a raw-key name could exceed the filesystem's
-// limit. The full key is stored inside the record and verified on load,
-// so a hash collision can at worst cause a recompute, never a wrong
-// answer.
-func (p *persistStore) resultPath(key cacheKey) string {
-	sum := sha256.Sum256([]byte(key.params))
-	return filepath.Join(p.resultDir, key.hash+"-"+hex.EncodeToString(sum[:])+".json")
 }
 
 // quarantine renames a bad file out of the serving namespace. The rename
@@ -201,17 +185,26 @@ type persistedTree struct {
 // slices; v1 records (map-shaped trees) fail the gate and are recomputed.
 const resultSchema = "strongdecomp/result/v2"
 
+// resultCodec is the result tier's codec. It has no verify hook: a
+// decoded record is checked for shape only (see decodeResult).
+var resultCodec = codec[*Result]{
+	dir:    "results",
+	encode: encodeResult,
+	decode: decodeResult,
+	fits:   (*Result).coversN,
+}
+
 // EncodeResultRecord serializes a served result into the same
 // schema-gated JSON record the disk tier spills — the wire form cluster
 // peers exchange for replication and peer-cache lookups. paramsKey is the
 // canonical Params.Key bytes. Results carrying neither a carving nor a
 // decomposition cannot be encoded.
 func EncodeResultRecord(graphHash string, paramsKey string, res *Result) ([]byte, error) {
-	rec, ok := buildRecord(cacheKey{hash: graphHash, params: paramsKey}, res)
-	if !ok {
+	data, err := encodeResult(cacheKey{hash: graphHash, params: paramsKey}, res)
+	if data == nil && err == nil {
 		return nil, fmt.Errorf("service: result carries no payload to encode")
 	}
-	return json.Marshal(&rec)
+	return data, err
 }
 
 // DecodeResultRecord is the inverse of EncodeResultRecord: it decodes and
@@ -223,9 +216,10 @@ func DecodeResultRecord(data []byte, graphHash string, paramsKey string, n int) 
 	return decodeResult(data, cacheKey{hash: graphHash, params: paramsKey}, n)
 }
 
-// buildRecord assembles the on-disk/on-wire record for a result; ok is
-// false when the result carries no payload worth persisting.
-func buildRecord(key cacheKey, res *Result) (persistedResult, bool) {
+// encodeResult assembles and marshals the on-disk/on-wire record of a
+// result; nil data with a nil error means the result carries no payload
+// worth persisting.
+func encodeResult(key cacheKey, res *Result) ([]byte, error) {
 	rec := persistedResult{
 		Schema:    resultSchema,
 		GraphHash: res.GraphHash,
@@ -253,51 +247,9 @@ func buildRecord(key cacheKey, res *Result) (persistedResult, bool) {
 		rec.K, rec.Colors, rec.Assign = d.K, d.Colors, d.Assign
 		rec.Color, rec.Centers = d.Color, d.Centers
 	default:
-		return rec, false
+		return nil, nil
 	}
-	return rec, true
-}
-
-// saveResult spills one computed result record, atomically.
-func (p *persistStore) saveResult(key cacheKey, res *Result) {
-	if !validHash(key.hash) {
-		return
-	}
-	rec, ok := buildRecord(key, res)
-	if !ok {
-		return // nothing worth persisting
-	}
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		p.saveErrors.Add(1)
-		return
-	}
-	if err := writeFileAtomic(p.resultPath(key), data); err != nil {
-		p.saveErrors.Add(1)
-		return
-	}
-	p.resultSaves.Add(1)
-}
-
-// loadResult reads the spilled record for key, validating it against the
-// resolved graph (n nodes) before it may be served. Undecodable or
-// inconsistent records are quarantined and treated as a miss.
-func (p *persistStore) loadResult(key cacheKey, n int) (*Result, bool) {
-	if !validHash(key.hash) {
-		return nil, false
-	}
-	path := p.resultPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	res, ok := decodeResult(data, key, n)
-	if !ok {
-		p.quarantine(path)
-		return nil, false
-	}
-	p.resultDiskHits.Add(1)
-	return res, true
+	return json.Marshal(&rec)
 }
 
 // decodeResult turns a record's bytes back into a Result, enforcing every
@@ -365,7 +317,7 @@ func decodeResult(data []byte, key cacheKey, n int) (*Result, bool) {
 	}
 	switch rec.Kind {
 	case "carve":
-		c := &cluster.Carving{K: rec.K, Assign: rec.Assign, Centers: rec.Centers}
+		c := &cluster.Carving{K: rec.K, Assign: rec.Assign, Centers: orNil(rec.Centers)}
 		for _, t := range rec.Trees {
 			if t.Root < 0 {
 				c.Trees = append(c.Trees, nil)
@@ -385,7 +337,7 @@ func decodeResult(data []byte, key cacheKey, n int) (*Result, bool) {
 		}
 		out.Decomposition = &cluster.Decomposition{
 			K: rec.K, Colors: rec.Colors,
-			Assign: rec.Assign, Color: rec.Color, Centers: rec.Centers,
+			Assign: rec.Assign, Color: orNil(rec.Color), Centers: orNil(rec.Centers),
 		}
 	default:
 		return nil, false
@@ -423,22 +375,30 @@ type persistedApp struct {
 // appSchema versions persistedApp.
 const appSchema = "strongdecomp/app/v1"
 
-// appPath returns the record path of an app cache key, with the same
-// fixed-length naming scheme as resultPath. The app-prefixed params key
-// hashes differently from the underlying decomposition's, so app and
-// result records can never collide even though both derive from the same
-// Params.
-func (p *persistStore) appPath(key cacheKey) string {
-	sum := sha256.Sum256([]byte(key.params))
-	return filepath.Join(p.appDir, key.hash+"-"+hex.EncodeToString(sum[:])+".json")
+// appCodec is the app tier's codec; with strict set, a decoded record
+// must also pass its verifier (verifyAppResult) before it is served.
+func appCodec(strict bool) codec[*AppResult] {
+	c := codec[*AppResult]{
+		dir:    "apps",
+		encode: encodeApp,
+		decode: decodeApp,
+		fits:   (*AppResult).coversN,
+	}
+	if strict {
+		c.verify = func(g *graph.Graph, res *AppResult) error {
+			if err := verifyAppResult(g, res); err != nil {
+				return err
+			}
+			res.Verified = true
+			return nil
+		}
+	}
+	return c
 }
 
-// saveApp spills one application answer record, atomically.
-func (p *persistStore) saveApp(key cacheKey, res *AppResult) {
-	if !validHash(key.hash) {
-		return
-	}
-	rec := persistedApp{
+// encodeApp marshals the on-disk record of one application answer.
+func encodeApp(key cacheKey, res *AppResult) ([]byte, error) {
+	return json.Marshal(&persistedApp{
 		Schema:       appSchema,
 		GraphHash:    res.GraphHash,
 		ParamsKey:    []byte(key.params),
@@ -455,44 +415,7 @@ func (p *persistStore) saveApp(key cacheKey, res *AppResult) {
 		ScheduleCost: res.ScheduleCost,
 		Rounds:       res.Rounds,
 		ElapsedNS:    int64(res.Elapsed),
-	}
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		p.saveErrors.Add(1)
-		return
-	}
-	if err := writeFileAtomic(p.appPath(key), data); err != nil {
-		p.saveErrors.Add(1)
-		return
-	}
-	p.appSaves.Add(1)
-}
-
-// loadApp reads the spilled app record for key, validating it against the
-// resolved graph (n nodes) before it may be served. Undecodable or
-// inconsistent records are quarantined and treated as a miss.
-func (p *persistStore) loadApp(key cacheKey, n int) (*AppResult, bool) {
-	if !validHash(key.hash) {
-		return nil, false
-	}
-	path := p.appPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	res, ok := decodeApp(data, key, n)
-	if !ok {
-		p.quarantine(path)
-		return nil, false
-	}
-	p.appDiskHits.Add(1)
-	return res, true
-}
-
-// quarantineApp renames key's app record aside — the strict-mode path for
-// a persisted answer that decodes cleanly but fails its verifier.
-func (p *persistStore) quarantineApp(key cacheKey) {
-	p.quarantine(p.appPath(key))
+	})
 }
 
 // decodeApp turns an app record's bytes back into an AppResult, enforcing
@@ -517,11 +440,11 @@ func decodeApp(data []byte, key cacheKey, n int) (*AppResult, bool) {
 		App:          rec.App,
 		Algo:         rec.Algo,
 		Seed:         rec.Seed,
-		InMIS:        rec.InMIS,
-		ColorOf:      rec.ColorOf,
+		InMIS:        orNil(rec.InMIS),
+		ColorOf:      orNil(rec.ColorOf),
 		PaletteSize:  rec.PaletteSize,
 		Diameter:     rec.Diameter,
-		SpannerEdges: rec.SpannerEdges,
+		SpannerEdges: orNil(rec.SpannerEdges),
 		TreeEdges:    rec.TreeEdges,
 		CrossEdges:   rec.CrossEdges,
 		ScheduleCost: rec.ScheduleCost,
@@ -557,6 +480,16 @@ func decodeApp(data []byte, key cacheKey, n int) (*AppResult, bool) {
 		}
 	}
 	return out, true
+}
+
+// orNil maps an empty slice to nil. The encoders omit empty slices, so
+// decoding them as nil makes every accepted record decode to the value
+// its re-encoding decodes to.
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // writeFileAtomic writes data via an adjacent temp file and a rename, the
@@ -596,18 +529,4 @@ type PersistStats struct {
 	Quarantined int64 `json:"quarantined"`
 	// SaveErrors counts failed spill attempts (disk full, permissions).
 	SaveErrors int64 `json:"save_errors"`
-}
-
-// snapshot captures the counters.
-func (p *persistStore) snapshot() *PersistStats {
-	return &PersistStats{
-		GraphSaves:     p.graphSaves.Load(),
-		ResultSaves:    p.resultSaves.Load(),
-		AppSaves:       p.appSaves.Load(),
-		GraphDiskHits:  p.graphDiskHits.Load(),
-		ResultDiskHits: p.resultDiskHits.Load(),
-		AppDiskHits:    p.appDiskHits.Load(),
-		Quarantined:    p.quarantined.Load(),
-		SaveErrors:     p.saveErrors.Load(),
-	}
 }

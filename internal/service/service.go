@@ -137,17 +137,15 @@ type ClusterHooks struct {
 // deduplicator, and an injected execution backend. It is safe for
 // concurrent use — one Service is meant to serve a whole process.
 type Service struct {
-	cfg       Config
-	runners   *runnerTable
-	cache     *resultCache
-	graphs    *graphStore
-	persist   *persistStore // nil when Config.DataDir is empty
-	flight    *flightGroup[*Result]
-	appCache  *lru[cacheKey, *AppResult]
-	appFlight *flightGroup[*AppResult]
-	stats     *statsTable
-	jobs      *jobManager
-	start     time.Time
+	cfg     Config
+	runners *runnerTable
+	graphs  *graphStore
+	persist *persistStore // nil when Config.DataDir is empty
+	results *tier[*Result]
+	answers *tier[*AppResult]
+	stats   *statsTable
+	jobs    *jobManager
+	start   time.Time
 }
 
 // New builds a Service from cfg. It fails only when Config.DataDir is set
@@ -187,15 +185,11 @@ func New(cfg Config) (*Service, error) {
 		cfg.JobTTL = 15 * time.Minute
 	}
 	s := &Service{
-		cfg:       cfg,
-		runners:   newRunnerTable(cfg.NewRunner),
-		cache:     newResultCache(cfg.CacheSize),
-		graphs:    newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
-		flight:    newFlightGroup[*Result](),
-		appCache:  newLRU[cacheKey, *AppResult](cfg.AppCacheSize),
-		appFlight: newFlightGroup[*AppResult](),
-		stats:     newStatsTable(),
-		start:     time.Now(),
+		cfg:     cfg,
+		runners: newRunnerTable(cfg.NewRunner),
+		graphs:  newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
+		stats:   newStatsTable(),
+		start:   time.Now(),
 	}
 	if cfg.DataDir != "" {
 		p, err := newPersistStore(cfg.DataDir)
@@ -203,6 +197,13 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.persist = p
+	}
+	var err error
+	if s.results, err = newTier(resultCodec, cfg.CacheSize, cfg.Timeout, s.persist, cfg.DataDir); err != nil {
+		return nil, err
+	}
+	if s.answers, err = newTier(appCodec(cfg.StrictApps), cfg.AppCacheSize, cfg.Timeout, s.persist, cfg.DataDir); err != nil {
+		return nil, err
 	}
 	s.jobs = newJobManager(s, cfg.JobQueue, cfg.JobWorkers, cfg.JobTTL)
 	return s, nil
@@ -369,29 +370,9 @@ func (s *Service) DefaultAlgorithm() string { return s.cfg.DefaultAlgorithm }
 // must not recurse into the network. paramsKey is the canonical
 // Params.Key bytes.
 func (s *Service) CachedResult(graphHash string, paramsKey string) (*Result, bool) {
-	key := cacheKey{hash: graphHash, params: paramsKey}
-	if res, ok := s.cache.get(key); ok {
-		// A record admitted before its graph was locally resolvable
-		// skipped the node-count check; once the graph is here, drop a
-		// copy whose assignment doesn't cover it — falling through to
-		// the (validated) disk tier — instead of serving it.
-		if g, ok := s.GetGraph(graphHash); !ok || res.coversN(g.N()) {
-			return res, true
-		}
-		s.cache.remove(key)
-	}
-	if s.persist == nil {
-		return nil, false
-	}
-	g, ok := s.GetGraph(graphHash)
-	if !ok {
-		return nil, false
-	}
-	if res, ok := s.persist.loadResult(key, g.N()); ok {
-		s.cache.put(key, res)
-		return res, true
-	}
-	return nil, false
+	g, _ := s.GetGraph(graphHash)
+	res, _, ok := s.results.cached(cacheKey{hash: graphHash, params: paramsKey}, g)
+	return res, ok
 }
 
 // AdmitResult decodes a peer-encoded result record (EncodeResultRecord)
@@ -415,11 +396,7 @@ func (s *Service) AdmitResult(graphHash string, paramsKey string, data []byte) e
 	if !ok {
 		return fmt.Errorf("%w: undecodable or inconsistent result record", ErrInvalidRequest)
 	}
-	key := cacheKey{hash: graphHash, params: paramsKey}
-	s.cache.put(key, res)
-	if s.persist != nil && n >= 0 {
-		s.persist.saveResult(key, res)
-	}
+	s.results.admit(cacheKey{hash: graphHash, params: paramsKey}, res, n >= 0)
 	return nil
 }
 
@@ -446,109 +423,53 @@ func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Re
 		return nil, err
 	}
 
+	// Full local miss: in a cluster the owning peer may hold this exact
+	// result — a network hop instead of a recompute — and a peer hit is
+	// admitted to the local tiers like a fresh compute.
 	key := cacheKey{hash: hash, params: p.Key()}
-	lookup := time.Now()
-	if res, ok := s.cache.get(key); ok && res.coversN(g.N()) {
-		st.cacheHits.Add(1)
-		obs.Span(ctx, "cache", lookup,
-			slog.String("tier", "lru"), slog.String("algo", p.Algorithm), slog.String("kind", string(kind)))
+	algo, kindAttr := slog.String("algo", p.Algorithm), slog.String("kind", string(kind))
+	res, how, err := s.results.lookup(ctx, st, key, g, req.Timeout, []slog.Attr{algo, kindAttr},
+		func(runCtx context.Context) (*Result, func() *Result, error) {
+			if pl := s.cfg.Cluster.PeerLookup; pl != nil {
+				peerStart := time.Now()
+				if out, ok := pl(runCtx, hash, key.params, g.N()); ok && out != nil {
+					st.peerHits.Add(1)
+					obs.Span(runCtx, "cache", peerStart, slog.String("tier", "peer"), algo, kindAttr)
+					return out, func() *Result {
+						served := *out
+						served.PeerHit = true
+						return &served
+					}, nil
+				}
+			}
+			out, err := s.compute(runCtx, runner, g, hash, p)
+			if err != nil {
+				return nil, nil, err
+			}
+			st.recordLatency(out.Elapsed)
+			obs.ObserveAlgorithm(runCtx, p.Algorithm, out.Elapsed)
+			for _, stage := range out.Stages {
+				obs.SpanDuration(runCtx, stage.Name, stage.Elapsed,
+					slog.String("scope", "engine"), algo)
+			}
+			obs.SpanDuration(runCtx, "compute", out.Elapsed, slog.String("tier", "compute"), algo, kindAttr)
+			return out, func() *Result {
+				if h := s.cfg.Cluster.OnResultComputed; h != nil {
+					h(hash, key.params, out)
+				}
+				return out
+			}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	switch how {
+	case servedCache:
 		out := *res
 		out.CacheHit = true
 		out.Stages = nil // the phases ran for the original compute, not this request
 		return &out, nil
-	} else if ok {
-		// A replica admitted before the graph arrived locally could not
-		// be checked against the node count; now that it can and fails,
-		// evict it and fall through to disk/peer/compute.
-		s.cache.remove(key)
-	}
-	// Memory miss: with a data directory, a previous run (or a previous
-	// process) may have spilled this exact (graph, Params) result. A disk
-	// hit is re-admitted to the memory tier and served as a cache hit —
-	// this is the path that makes a restarted server answer repeated
-	// requests without recomputation.
-	if s.persist != nil {
-		if res, ok := s.persist.loadResult(key, g.N()); ok {
-			st.cacheHits.Add(1)
-			obs.Span(ctx, "cache", lookup,
-				slog.String("tier", "disk"), slog.String("algo", p.Algorithm), slog.String("kind", string(kind)))
-			s.cache.put(key, res)
-			out := *res
-			out.CacheHit = true
-			return &out, nil
-		}
-	}
-	st.cacheMisses.Add(1)
-
-	// The computation itself runs on the flight's detached context (so one
-	// caller abandoning a shared flight cannot poison it); the service
-	// timeout bounds that detached context. A request's own Timeout
-	// bounds only this caller's wait — a concurrent identical request
-	// sharing the flight is never killed by someone else's deadline.
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
-	res, err, shared := s.flight.do(ctx, key, func(runCtx context.Context) (*Result, error) {
-		// The flight deliberately detaches from the caller's cancellation
-		// (context.WithoutCancel); the caller's trace and collector must
-		// survive the detach for the peer/compute spans to keep flowing.
-		runCtx = obs.Transfer(runCtx, ctx)
-		if s.cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, s.cfg.Timeout)
-			defer cancel()
-		}
-		// Full local miss. In a cluster the owning peer may hold this
-		// exact result — a network hop instead of a recompute. A peer hit
-		// is admitted to the local tiers like a disk hit would be.
-		if pl := s.cfg.Cluster.PeerLookup; pl != nil {
-			peerStart := time.Now()
-			if out, ok := pl(runCtx, hash, key.params, g.N()); ok && out != nil {
-				st.peerHits.Add(1)
-				obs.Span(runCtx, "cache", peerStart,
-					slog.String("tier", "peer"), slog.String("algo", p.Algorithm), slog.String("kind", string(kind)))
-				s.cache.put(key, out)
-				if s.persist != nil {
-					s.persist.saveResult(key, out)
-				}
-				served := *out
-				served.PeerHit = true
-				return &served, nil
-			}
-		}
-		out, err := s.compute(runCtx, runner, g, hash, p)
-		if err != nil {
-			return nil, err
-		}
-		st.recordLatency(out.Elapsed)
-		obs.ObserveAlgorithm(runCtx, p.Algorithm, out.Elapsed)
-		for _, stage := range out.Stages {
-			obs.SpanDuration(runCtx, stage.Name, stage.Elapsed,
-				slog.String("scope", "engine"), slog.String("algo", p.Algorithm))
-		}
-		obs.SpanDuration(runCtx, "compute", out.Elapsed,
-			slog.String("tier", "compute"), slog.String("algo", p.Algorithm), slog.String("kind", string(kind)))
-		s.cache.put(key, out)
-		if s.persist != nil {
-			s.persist.saveResult(key, out)
-		}
-		if h := s.cfg.Cluster.OnResultComputed; h != nil {
-			h(hash, key.params, out)
-		}
-		return out, nil
-	})
-	if shared {
-		st.dedupShared.Add(1)
-	}
-	if err != nil {
-		// Counted per failed request — leader, followers, and abandoned
-		// waiters alike — so Errors matches its "failed requests" contract.
-		st.errors.Add(1)
-		return nil, err
-	}
-	if shared {
+	case servedShared:
 		out := *res
 		out.Shared = true
 		return &out, nil

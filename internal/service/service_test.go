@@ -141,9 +141,9 @@ func TestServiceSingleflight(t *testing.T) {
 		}
 	}
 	waitForCondition(t, func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		c := s.flight.calls[key]
+		s.results.flight.mu.Lock()
+		defer s.results.flight.mu.Unlock()
+		c := s.results.flight.calls[key]
 		return c != nil && c.parties.Load() == followers+1 // +1: the leader
 	})
 	close(gate)
@@ -205,9 +205,9 @@ func TestServiceLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 		followerRes, followerErr = s.Decompose(context.Background(), req())
 	}()
 	waitForCondition(t, func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		c := s.flight.calls[key]
+		s.results.flight.mu.Lock()
+		defer s.results.flight.mu.Unlock()
+		c := s.results.flight.calls[key]
 		return c != nil && c.parties.Load() == 2
 	})
 
@@ -250,9 +250,9 @@ func TestServiceAbandonedFlightCanceled(t *testing.T) {
 		done <- err
 	}()
 	waitForCondition(t, func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		return len(s.flight.calls) == 1
+		s.results.flight.mu.Lock()
+		defer s.results.flight.mu.Unlock()
+		return len(s.results.flight.calls) == 1
 	})
 	cancel()
 	if err := <-done; !errors.Is(err, registry.ErrCanceled) {
@@ -261,11 +261,11 @@ func TestServiceAbandonedFlightCanceled(t *testing.T) {
 	// The gated stub only returns when its context dies; the flight
 	// draining proves the computation was canceled, not left hanging.
 	waitForCondition(t, func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		return len(s.flight.calls) == 0
+		s.results.flight.mu.Lock()
+		defer s.results.flight.mu.Unlock()
+		return len(s.results.flight.calls) == 0
 	})
-	if hits := s.cache.len(); hits != 0 {
+	if hits := s.results.lru.len(); hits != 0 {
 		t.Fatalf("canceled computation was cached (%d entries)", hits)
 	}
 }
@@ -571,9 +571,9 @@ func TestServiceRequestTimeoutBoundsOnlyCaller(t *testing.T) {
 	}()
 	key := decomposeKey(g, algo, 2)
 	waitForCondition(t, func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		c := s.flight.calls[key]
+		s.results.flight.mu.Lock()
+		defer s.results.flight.mu.Unlock()
+		c := s.results.flight.calls[key]
 		return c != nil && c.parties.Load() == 2
 	})
 
@@ -655,7 +655,7 @@ func TestServiceAdmitResultRevalidatedAfterGraphArrives(t *testing.T) {
 		// by injecting directly.
 		t.Fatal("wrong-length record admitted while the graph is resolvable")
 	}
-	s.cache.put(cacheKey{hash: hash, params: key.params}, short)
+	s.results.lru.put(cacheKey{hash: hash, params: key.params}, short)
 	got, ok := s.CachedResult(hash, key.params)
 	if !ok {
 		t.Fatal("CachedResult missed the validated disk copy")

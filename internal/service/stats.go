@@ -175,7 +175,7 @@ func (a *algoStats) snapshot() AlgoStats {
 func (s *Service) Stats() Stats {
 	out := Stats{
 		Uptime:        time.Since(s.start),
-		CachedResults: s.cache.len(),
+		CachedResults: s.results.lru.len(),
 		StoredGraphs:  s.graphs.len(),
 		Algorithms:    make(map[string]AlgoStats),
 	}
@@ -217,8 +217,17 @@ func (s *Service) Stats() Stats {
 	if s.cfg.RunnerStats != nil {
 		out.Runner = s.cfg.RunnerStats()
 	}
-	if s.persist != nil {
-		out.Persist = s.persist.snapshot()
+	if p := s.persist; p != nil {
+		out.Persist = &PersistStats{
+			GraphSaves:     p.graphSaves.Load(),
+			ResultSaves:    s.results.saves.Load(),
+			AppSaves:       s.answers.saves.Load(),
+			GraphDiskHits:  p.graphDiskHits.Load(),
+			ResultDiskHits: s.results.diskHits.Load(),
+			AppDiskHits:    s.answers.diskHits.Load(),
+			Quarantined:    p.quarantined.Load(),
+			SaveErrors:     p.saveErrors.Load(),
+		}
 	}
 	return out
 }

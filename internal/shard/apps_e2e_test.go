@@ -108,25 +108,41 @@ func TestClusterAppForwardedToOwner(t *testing.T) {
 	}
 
 	// The request must have been served by the owner, one hop away, under
-	// a single trace ID with app spans on the owner side only.
-	ownerTraces := make(map[string]bool)
-	for _, r := range sinks[ownerIdx].spans(t) {
-		ownerTraces[r.TraceID] = true
-	}
+	// a single trace ID with app spans on the owner side only. The app
+	// request's proxy span is the one for its path (the upload's proxy
+	// span may be logged after it). Both shards log their spans as their
+	// handlers return, which can be after the client has read the reply,
+	// so wait for the proxy span and the owner's three spans.
 	var shared string
-	for _, r := range sinks[coordIdx].spans(t) {
-		if r.Stage == "proxy" && ownerTraces[r.TraceID] {
-			shared = r.TraceID
+	ownerSpans := func() []spanRecord {
+		var out []spanRecord
+		for _, r := range sinks[ownerIdx].spans(t) {
+			if r.TraceID == shared {
+				out = append(out, r)
+			}
 		}
+		return out
 	}
+	waitFor(t, "the app request's proxy span and the owner's app spans at hop 1", func() bool {
+		for _, r := range sinks[coordIdx].spans(t) {
+			if r.Stage == "proxy" && r.Path == "/v2/apps/diameter" {
+				shared = r.TraceID
+			}
+		}
+		var hop1 []spanRecord
+		for _, r := range ownerSpans() {
+			if r.Hop == 1 {
+				hop1 = append(hop1, r)
+			}
+		}
+		s := stages(hop1)
+		return s["app-resolve"] && s["app-run"] && s["route"]
+	})
 	if shared == "" {
 		t.Fatal("no proxy span sharing a trace ID with the owner")
 	}
 	ownerStages := make(map[string]int)
-	for _, r := range sinks[ownerIdx].spans(t) {
-		if r.TraceID != shared {
-			continue
-		}
+	for _, r := range ownerSpans() {
 		if r.Hop != 1 {
 			t.Errorf("owner span %+v: want hop 1", r)
 		}

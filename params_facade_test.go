@@ -105,14 +105,14 @@ func TestEngineRunParams(t *testing.T) {
 	if out.Rounds <= 0 {
 		t.Fatal("metered engine run reports no rounds")
 	}
-	// Engine.Run and the legacy Engine.Decompose shim agree bit for bit.
-	legacy, err := e.Decompose(context.Background(), g, nil)
+	// Engine.Run and the DecomposeBatch shim agree bit for bit.
+	batch, err := e.DecomposeBatch(context.Background(), []*Graph{g}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range legacy.Assign {
-		if out.Decomposition.Assign[v] != legacy.Assign[v] {
-			t.Fatalf("Run and Decompose disagree at node %d", v)
+	for v := range batch[0].Assign {
+		if out.Decomposition.Assign[v] != batch[0].Assign[v] {
+			t.Fatalf("Run and DecomposeBatch disagree at node %d", v)
 		}
 	}
 	if _, err := e.Run(context.Background(), g, Params{Kind: KindCarve, Eps: -1}); !errors.Is(err, ErrInvalidParams) {

@@ -77,8 +77,8 @@ type DecomposerFuncs = registry.Funcs
 
 // Typed errors returned by the registry and by canceled runs.
 var (
-	// ErrUnknownAlgorithm is returned when a name (or legacy Algorithm
-	// value) resolves to no registered construction.
+	// ErrUnknownAlgorithm is returned when a name resolves to no
+	// registered construction.
 	ErrUnknownAlgorithm = registry.ErrUnknownAlgorithm
 	// ErrCanceled matches errors returned by runs that observed context
 	// cancellation or a deadline; the underlying ctx.Err() also matches.

@@ -40,8 +40,8 @@
 // validation (Validate), and cache identity (Key): the serving layer in
 // internal/service addresses its result cache with the same canonical
 // byte encoding that validates a CLI flag set or an HTTP body. The
-// functional options below (WithAlgorithmName, WithSeed, ...) and the
-// legacy Algorithm enum remain as thin shims that resolve into a Params.
+// functional options below (WithAlgorithmName, WithSeed, ...) remain as
+// thin shims that resolve into a Params.
 //
 // A minimal example:
 //
@@ -54,7 +54,6 @@ package strongdecomp
 
 import (
 	"context"
-	"fmt"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
@@ -87,54 +86,6 @@ type (
 // Unclustered marks removed nodes in a Carving's Assign slice.
 const Unclustered = cluster.Unclustered
 
-// Algorithm selects which construction BallCarve and Decompose run. It is
-// the legacy enum-shaped selector: each value maps to a registry name
-// through Name, and the facade resolves it through exactly the same
-// Lookup path as WithAlgorithmName — there is no per-enum dispatch or
-// error handling left. New constructions registered via Register need no
-// Algorithm value; select them by name.
-//
-// Deprecated: name constructions directly — Params.Algorithm or
-// WithAlgorithmName. The enum cannot reach constructions registered at
-// runtime and exists only for source compatibility.
-type Algorithm int
-
-const (
-	// ChangGhaffari is the paper's deterministic construction
-	// (Theorem 2.2 / 2.3): strong diameter O(log³ n / ε).
-	ChangGhaffari Algorithm = iota + 1
-	// ChangGhaffariImproved adds the Section 3 diameter improvement
-	// (Theorem 3.3 / 3.4): strong diameter O(log² n / ε).
-	ChangGhaffariImproved
-	// MPX is the randomized strong-diameter construction of
-	// Miller–Peng–Xu / Elkin–Neiman: diameter O(log n / ε).
-	MPX
-	// LinialSaks is the randomized weak-diameter construction; its
-	// clusters may induce disconnected subgraphs.
-	LinialSaks
-	// Sequential is the global one-ball-at-a-time deterministic baseline.
-	Sequential
-)
-
-// algorithmNames maps the legacy enum values to registry names.
-var algorithmNames = map[Algorithm]string{
-	ChangGhaffari:         "chang-ghaffari",
-	ChangGhaffariImproved: "chang-ghaffari-improved",
-	MPX:                   "mpx",
-	LinialSaks:            "linial-saks",
-	Sequential:            "sequential",
-}
-
-// String returns the registry name of the algorithm (the same name
-// WithAlgorithmName and the HTTP API accept), or "algorithm(n)" for
-// values outside the enum.
-func (a Algorithm) String() string {
-	if name, ok := algorithmNames[a]; ok {
-		return name
-	}
-	return fmt.Sprintf("algorithm(%d)", int(a))
-}
-
 // options collects the functional options straight into a canonical
 // Params; the external meter pointer is the only piece of legacy state
 // that is not a Params field (Params carries only the metering opt-in,
@@ -149,25 +100,13 @@ type Option interface {
 	apply(*options)
 }
 
-type algoOption Algorithm
-
-func (a algoOption) apply(o *options) { o.p.Algorithm = Algorithm(a).String() }
-
-// WithAlgorithm selects the construction via the legacy enum. It resolves
-// through the same registry name lookup as WithAlgorithmName: an enum
-// value outside the table yields a name no construction registers, so it
-// fails with ErrUnknownAlgorithm like any other unknown name.
-//
-// Deprecated: use WithAlgorithmName or Params.Algorithm.
-func WithAlgorithm(a Algorithm) Option { return algoOption(a) }
-
 type algoNameOption string
 
 func (a algoNameOption) apply(o *options) { o.p.Algorithm = string(a) }
 
 // WithAlgorithmName selects the construction by registry name, reaching
-// every registered construction — including ones added via Register that
-// have no Algorithm enum value. See Algorithms for the available names.
+// every registered construction — including ones added via Register. See
+// Algorithms for the available names.
 func WithAlgorithmName(name string) Option { return algoNameOption(name) }
 
 type seedOption int64
@@ -194,11 +133,11 @@ func WithNodes(nodes []int) Option { return nodesOption(nodes) }
 
 // buildParams folds the options into a canonical Params for the given
 // operation, returning the Params and the legacy external meter (if any).
-// The facade's historical defaults (ChangGhaffari, seed 1) are preserved;
+// The facade's historical defaults (DefaultAlgorithm, seed 1) are preserved;
 // everything else — kind normalization, eps canonicalization — is
 // Params.Normalized's job.
 func buildParams(kind Kind, eps float64, opts []Option) (Params, *rounds.Meter) {
-	o := options{p: Params{Algorithm: ChangGhaffari.String(), Kind: kind, Eps: eps, Seed: 1}}
+	o := options{p: Params{Algorithm: DefaultAlgorithm, Kind: kind, Eps: eps, Seed: 1}}
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
