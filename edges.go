@@ -26,7 +26,7 @@ func BallCarveEdges(g *Graph, eps float64, opts ...Option) (*EdgeCarving, error)
 // support; a canceled run returns an error matching ErrCanceled.
 func BallCarveEdgesContext(ctx context.Context, g *Graph, eps float64, opts ...Option) (*EdgeCarving, error) {
 	p, meter := buildParams(KindCarve, eps, opts)
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateFor(g.N()); err != nil {
 		return nil, err
 	}
 	return core.CarveEdgesRGContext(ctx, g, p.Nodes, eps, meter)

@@ -213,8 +213,9 @@ func (c *stageClock) take() []registry.StageTiming {
 }
 
 // Run executes one canonical Params on the engine: the v2 entry point.
-// The Params is normalized and validated (an empty Algorithm means the
-// engine's configured construction), multi-component graphs run their
+// The Params is normalized and validated against g before any
+// construction runs (ValidateFor; an empty Algorithm means the engine's
+// configured construction), multi-component graphs run their
 // components concurrently on the worker pool, and metering is opt-in via
 // p.Meter with the total reported on Outcome.Rounds. DecomposeBatch is a
 // thin shim over the same internals.
@@ -223,7 +224,7 @@ func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) 
 		p.Algorithm = e.algo
 	}
 	p = p.Normalized()
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateFor(g.N()); err != nil {
 		return nil, err
 	}
 	var meter *rounds.Meter

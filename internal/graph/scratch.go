@@ -107,6 +107,27 @@ func (s *Scratch) Components(g *Graph, alive []bool) [][]int {
 	return comps
 }
 
+// sortedComponents is Components with every component's members in
+// ascending order, without sorting: it stamps each member with its
+// component's index, then one ascending pass over the nodes rewrites every
+// component in place. Components stay ordered by their smallest node.
+func (s *Scratch) sortedComponents(g *Graph, alive []bool) [][]int {
+	comps := s.Components(g, alive)
+	for k, comp := range comps {
+		for _, v := range comp {
+			s.remap[v] = k
+		}
+		comps[k] = comp[:0]
+	}
+	for v := 0; v < g.N(); v++ {
+		if s.mark[v] == s.gen { // visited by this call's BFS
+			k := s.remap[v]
+			comps[k] = append(comps[k], v)
+		}
+	}
+	return comps
+}
+
 // IsConnected reports whether the subgraph induced by nodes is connected
 // (an empty or singleton set is connected). Zero allocations.
 //

@@ -69,11 +69,8 @@ func BFSTree(g *Graph, alive []bool, src int) (dist, parent []int) {
 // a sorted node list; components are ordered by their smallest node.
 func Components(g *Graph, alive []bool) [][]int {
 	s := getScratch()
-	comps := s.Components(g, alive)
+	comps := s.sortedComponents(g, alive)
 	putScratch(s)
-	for _, comp := range comps {
-		sortInts(comp)
-	}
 	return comps
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,35 @@ func TestComponentsWithMask(t *testing.T) {
 	comps := Components(g, alive)
 	if len(comps) != 2 {
 		t.Fatalf("masked components: %v", comps)
+	}
+}
+
+// TestComponentsSortedOrder checks the sort-free Components against the
+// BFS-order scratch components sorted afterwards: same components, ordered
+// by smallest node, members ascending.
+func TestComponentsSortedOrder(t *testing.T) {
+	s := NewScratch()
+	for seed := int64(1); seed <= 8; seed++ {
+		g := DisjointUnion(ConnectedGnp(60, 0.04, seed), Grid(6, 7), Star(9))
+		alive := make([]bool, g.N())
+		for v := range alive {
+			alive[v] = (v*7+int(seed))%5 != 0
+		}
+		for _, mask := range [][]bool{nil, alive} {
+			got := Components(g, mask)
+			want := s.Components(g, mask)
+			for _, c := range want {
+				slices.Sort(c)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+				t.Fatalf("seed %d: components %v, want %v", seed, got, want)
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i][0] <= got[i-1][0] {
+					t.Fatalf("seed %d: components not ordered by smallest node", seed)
+				}
+			}
+		}
 	}
 }
 

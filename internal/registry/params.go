@@ -23,7 +23,8 @@ import (
 )
 
 // ErrInvalidParams marks a Params value that cannot be executed (unknown
-// kind, non-finite or out-of-range eps, negative node ids). The serving
+// kind, non-finite or out-of-range eps, node ids that are negative, not
+// nodes of the graph, or repeated). The serving
 // layer wraps it into its own ErrInvalidRequest.
 var ErrInvalidParams = errors.New("strongdecomp: invalid params")
 
@@ -112,6 +113,30 @@ func (p Params) Validate() error {
 		if v < 0 {
 			return fmt.Errorf("%w: nodes[%d] = %d is negative", ErrInvalidParams, i, v)
 		}
+	}
+	return nil
+}
+
+// ValidateFor is Validate for a run on an n-node graph: it also rejects a
+// node restriction that names an id outside [0, n) or names a node twice,
+// which the constructions index by without checking.
+func (p Params) ValidateFor(n int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	nodes := p.Normalized().Nodes
+	if nodes == nil {
+		return nil
+	}
+	seen := make([]bool, n)
+	for i, v := range nodes {
+		if v >= n {
+			return fmt.Errorf("%w: nodes[%d] = %d is not a node of a %d-node graph", ErrInvalidParams, i, v, n)
+		}
+		if seen[v] {
+			return fmt.Errorf("%w: node %d appears twice in nodes", ErrInvalidParams, v)
+		}
+		seen[v] = true
 	}
 	return nil
 }
@@ -338,7 +363,7 @@ func Exec(ctx context.Context, d Decomposer, g *graph.Graph, p Params) (*Outcome
 // semantics while routing defaults and validation through Params.
 func ExecMeter(ctx context.Context, d Decomposer, g *graph.Graph, p Params, meter *rounds.Meter) (*Outcome, error) {
 	p = p.Normalized()
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateFor(g.N()); err != nil {
 		return nil, err
 	}
 	opts := &RunOptions{Seed: p.Seed, Meter: meter, Nodes: p.Nodes}

@@ -66,6 +66,35 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+func TestParamsValidateFor(t *testing.T) {
+	cases := []struct {
+		name  string
+		p     Params
+		n     int
+		valid bool
+	}{
+		{"all nodes", Params{Kind: KindCarve, Eps: 0.5}, 4, true},
+		{"subset", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{3, 0, 2}}, 4, true},
+		{"empty subset", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{}}, 4, true},
+		{"decompose drops nodes", Params{Kind: KindDecompose, Nodes: []int{9, 9}}, 4, true},
+		{"id equal to n", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{0, 4}}, 4, false},
+		{"id far past n", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{0, 1, 99}}, 25, false},
+		{"negative id", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{-1}}, 4, false},
+		{"duplicate", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{0, 1, 1}}, 4, false},
+		{"duplicate apart", Params{Kind: KindCarve, Eps: 0.5, Nodes: []int{2, 0, 2}}, 4, false},
+		{"invalid eps", Params{Kind: KindCarve, Nodes: []int{0}}, 4, false},
+	}
+	for _, tc := range cases {
+		err := tc.p.ValidateFor(tc.n)
+		switch {
+		case tc.valid && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case !tc.valid && !errors.Is(err, ErrInvalidParams):
+			t.Errorf("%s: error %v, want ErrInvalidParams", tc.name, err)
+		}
+	}
+}
+
 func TestParamsEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Params{
 		{},

@@ -13,23 +13,27 @@ import (
 //   - the attach log holds only attachments of clusters that still have a
 //     member, exactly treeSize-1 of them per such cluster, in tree-index
 //     order with every parent index before its child's;
-//   - label[v] < 0 exactly for nodes outside S and nodes that died, and a
-//     dead node stays dead;
+//   - the local ids number exactly S, in ascending host-id order, so no
+//     node outside S can hold a label;
+//   - label[v] < 0 exactly for nodes that died, and a dead node stays dead;
 //   - every live node's label is a cluster of S whose size counts it;
 //   - the proposer candidate set is empty, as the next seeding assumes.
 func TestPhaseInvariants(t *testing.T) {
 	for _, in := range carveFixtureInputs() {
 		for _, eps := range carveFixtureEps {
+			st := new(state)
+			if err := st.reset(in.g, in.nodes, eps); err != nil {
+				t.Fatal(err)
+			}
 			nodes := in.nodes
 			if nodes == nil {
 				nodes = allNodes(in.g.N())
 			}
-			st := newState(in.g, nodes, eps)
 			inS := make([]bool, in.g.N())
 			for _, v := range nodes {
 				inS[v] = true
 			}
-			dead := make([]bool, in.g.N())
+			dead := make([]bool, len(st.host))
 			m := rounds.NewMeter()
 			for phase := 0; phase < st.b; phase++ {
 				st.runPhase(phase, m)
@@ -42,62 +46,72 @@ func TestPhaseInvariants(t *testing.T) {
 }
 
 // checkPhaseState checks st between phases and records newly dead nodes
-// of S in dead. It returns the first violation it finds.
+// of S in dead, by local id. It returns the first violation it finds.
 func checkPhaseState(st *state, inS, dead []bool) error {
+	size := 0
+	for _, ok := range inS {
+		if ok {
+			size++
+		}
+	}
+	if len(st.host) != size {
+		return fmt.Errorf("%d local ids for %d nodes of S", len(st.host), size)
+	}
+	for i, v := range st.host {
+		if !inS[v] || (i > 0 && v <= st.host[i-1]) {
+			return fmt.Errorf("local id %d maps to host %d: outside S or out of order", i, v)
+		}
+	}
 	if len(st.activeBlue) != 0 {
 		return fmt.Errorf("%d proposer candidates left over", len(st.activeBlue))
 	}
 	for v, ok := range st.inActive {
 		if ok {
-			return fmt.Errorf("node %d still marked as a candidate", v)
+			return fmt.Errorf("node %d still marked as a candidate", st.host[v])
 		}
 	}
 	n := len(st.label)
-	next := make([]int, n) // per label: tree index of its next log entry
-	for _, l := range st.nodes {
+	next := make([]int32, n) // per label: tree index of its next log entry
+	for l := range next {
 		next[l] = 1 // index 0 is the root
 	}
 	for i, a := range st.attaches {
 		if st.clusters[a.label].size <= 0 {
-			return fmt.Errorf("log entry %d (node %d) belongs to emptied cluster %d", i, a.node, a.label)
+			return fmt.Errorf("log entry %d (node %d) belongs to emptied cluster %d", i, st.host[a.node], st.host[a.label])
 		}
 		if a.parent < 0 || a.parent >= next[a.label] {
-			return fmt.Errorf("log entry %d of cluster %d: parent index %d not before index %d", i, a.label, a.parent, next[a.label])
+			return fmt.Errorf("log entry %d of cluster %d: parent index %d not before index %d", i, st.host[a.label], a.parent, next[a.label])
 		}
 		next[a.label]++
 	}
 	want := 0
-	for _, l := range st.nodes {
-		if x := st.clusters[l]; x.size > 0 {
-			want += x.treeSize - 1
+	for l, x := range st.clusters {
+		if x.size > 0 {
+			want += int(x.treeSize) - 1
 			if next[l] != x.treeSize {
-				return fmt.Errorf("cluster %d has %d log entries, tree size %d", l, next[l]-1, x.treeSize)
+				return fmt.Errorf("cluster %d has %d log entries, tree size %d", st.host[l], next[l]-1, x.treeSize)
 			}
 		}
 	}
 	if len(st.attaches) != want {
 		return fmt.Errorf("log holds %d entries, live trees need %d", len(st.attaches), want)
 	}
-	members := make([]int, n)
+	members := make([]int32, n)
 	for v, l := range st.label {
 		switch {
-		case !inS[v]:
-			if l >= 0 {
-				return fmt.Errorf("node %d outside S has label %d", v, l)
-			}
 		case l < 0:
 			dead[v] = true
 		case dead[v]:
-			return fmt.Errorf("dead node %d came back with label %d", v, l)
-		case !inS[l]:
-			return fmt.Errorf("node %d has label %d outside S", v, l)
+			return fmt.Errorf("dead node %d came back with label %d", st.host[v], l)
+		case int(l) >= n:
+			return fmt.Errorf("node %d has label %d outside S", st.host[v], l)
 		default:
 			members[l]++
 		}
 	}
-	for _, l := range st.nodes {
-		if members[l] != st.clusters[l].size {
-			return fmt.Errorf("cluster %d has %d labelled members, size %d", l, members[l], st.clusters[l].size)
+	for l, x := range st.clusters {
+		if members[l] != x.size {
+			return fmt.Errorf("cluster %d has %d labelled members, size %d", st.host[l], members[l], x.size)
 		}
 	}
 	return nil

@@ -29,16 +29,23 @@
 // node it already holds, so a joining node's tree depth is exactly its via
 // node's plus one.
 //
-// A node is live while its label is non-negative; dead nodes and nodes
-// outside the carved set have label -1. A cluster that loses its last
-// member can never grow again, so its tree attachments are dropped at the
-// end of each phase and the carver's memory stays linear in the carved set
-// and the surviving trees.
+// The kernel works on the carved set S alone. It numbers S in ascending
+// host-id order, so every comparison of labels or node ids has the same
+// result in local ids as in host ids, and keeps an int32 CSR of G[S] and
+// int32 state sized |S|. A node is live while its label is non-negative;
+// dead nodes have label -1. A cluster that loses its last member can never
+// grow again, so its tree attachments are dropped at the end of each phase
+// and the carver's memory stays linear in the carved set and the surviving
+// trees. The state of a carve of up to maxPooledNodes nodes is pooled, so
+// a warm carve of such a set allocates only its output.
 package rg
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
@@ -74,58 +81,90 @@ func ParamsFor(n int, eps float64) Params {
 // Carve runs the deterministic weak-diameter ball carving on the subgraph
 // induced by nodes (nil means all of g), with boundary parameter
 // eps ∈ (0, 1]. The returned carving assigns cluster ids to surviving nodes
-// of the subgraph and leaves every other node Unclustered.
+// of the subgraph and leaves every other node Unclustered. nodes must be
+// distinct ids in [0, g.N()); Carve returns an error otherwise.
 func Carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("rg: eps %v outside (0, 1]", eps)
 	}
-	n := g.N()
-	if nodes == nil {
-		nodes = make([]int, n)
-		for v := range nodes {
-			nodes[v] = v
-		}
+	st := statePool.Get().(*state)
+	defer st.release()
+	if err := st.reset(g, nodes, eps); err != nil {
+		return nil, err
 	}
-	st := newState(g, nodes, eps)
 	for phase := 0; phase < st.b; phase++ {
 		st.runPhase(phase, m)
 	}
 	return st.carving(), nil
 }
 
+// statePool holds carver states between calls. A state's buffers only grow,
+// so a warm carve of a set no larger than an earlier one allocates nothing
+// but its output.
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// maxPooledNodes caps the carved sets whose state goes back to the pool.
+// The pool keeps a state alive through the next garbage collection, which
+// raises the heap goal by twice the state's size, ~140 B per node of S at
+// average degree 8. For one large carve per operation that costs more than
+// it saves: on the benchmark's 40000-node decompose-giant input, pooling
+// every state raised peak RSS from ~33 to ~37.5 MiB, while the allocation
+// it saved is a small share of the carve. Sets of up to this many nodes,
+// such as the 10000-node components of decompose-strips and every graph
+// the serve workloads store, are pooled.
+const maxPooledNodes = 1 << 15
+
+// proposal is node's proposal to join cluster label through its neighbor
+// via, all in local ids.
 type proposal struct {
-	label int // proposed-to cluster
-	node  int
-	via   int
+	label, node, via int32
 }
 
-// clusterInfo is the per-cluster growth state. Labels are node ids, so the
-// state stores these as one flat slice indexed by label instead of a
-// map[int]*clusterInfo — no per-node allocation. A cluster's Steiner tree
-// is its root (the label) followed by its entries in the state's attach
-// log; treeSize counts both.
+// clusterInfo is the per-cluster growth state, indexed by label. A
+// cluster's Steiner tree is its root (the label) followed by its entries in
+// the state's attach log; treeSize counts both.
 type clusterInfo struct {
-	size     int // live members
-	treeSize int
-	maxDepth int
+	size     int32 // live members
+	treeSize int32
+	maxDepth int32
 }
 
 // attach is one tree attachment: node joined cluster label's tree as a
 // child of the node at index parent of that tree. A cluster's attachments
 // appear in the log in tree-index order.
 type attach struct {
-	label, node, parent int
+	label, node, parent int32
 }
 
+// Label status bits, one byte per label in state.stat. A label's byte is
+// rebuilt at the start of every phase from bit phase of its host id, so the
+// proposal scan tests one byte instead of a label's sign, bit and
+// retirement. Slot 0 stands for label -1 and is always dead.
+const (
+	statRed     byte = 1 // bit phase of the label's host id is 1
+	statRetired byte = 2 // the red cluster retired in this phase
+	statDead    byte = 4 // slot 0 only: the node has no cluster
+)
+
+// state is the carver's kernel. Every node of the carved set S has a local
+// id in [0, |S|): S in ascending host-id order, so host[i] < host[j] iff
+// i < j. Cluster labels are local ids too (a label is its root's id), and
+// every array below is indexed by local id.
 type state struct {
 	g     *graph.Graph
 	b     int
 	delta float64
 
-	nodes    []int         // the carved set S; every cluster label is one of these
-	label    []int         // current cluster label; -1 for dead nodes and nodes outside S
-	clusters []clusterInfo // indexed by label; a label outside S has size 0
-	retired  []bool        // per label: the cluster retired in the current phase
+	host []int32 // local id -> host id
+	seed []int32 // local ids in the caller's nodes order: the seeding order
+	loc  []int32 // host id -> local id; all -1 between calls
+	// adj[adjOff[v]:adjOff[v+1]] is v's neighbor list in G[S], ascending.
+	adjOff []int32
+	adj    []int32
+
+	label    []int32       // current cluster label; -1 for dead nodes
+	clusters []clusterInfo // indexed by label
+	stat     []byte        // stat[l+1] holds label l's status bits
 
 	// Steiner trees: attaches logs the tree attachments of every cluster
 	// that still has a member (see dropDeadAttaches), and pos[v] is v's
@@ -133,11 +172,11 @@ type state struct {
 	// that tree's root. A node that has never moved is the root of its
 	// own singleton cluster (index 0, depth 0).
 	attaches []attach
-	pos      []int
-	depth    []int
+	pos      []int32
+	depth    []int32
 
-	activeBlue []int  // candidate proposers, maintained incrementally
-	inActive   []bool // membership mask for activeBlue
+	activeBlue []int32 // candidate proposers, maintained incrementally
+	inActive   []bool  // membership mask for activeBlue
 
 	// Proposal scratch, reused every step: props collects this step's
 	// proposals in activeBlue order, grouped holds them bucketed by label
@@ -147,34 +186,174 @@ type state struct {
 	// zero after a step).
 	props      []proposal
 	grouped    []proposal
-	propLabels []int
-	propEnds   []int
-	propCount  []int
+	propLabels []int32
+	propEnds   []int32
+	propCount  []int32
+
+	id []int32 // carving's label -> output cluster id table
 }
 
-func newState(g *graph.Graph, nodes []int, eps float64) *state {
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reserve returns s emptied, with capacity for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// reset prepares st to carve the subgraph of g induced by nodes (nil means
+// all of g): it numbers S, builds G[S]'s adjacency and puts every node in a
+// singleton cluster of its own.
+func (st *state) reset(g *graph.Graph, nodes []int, eps float64) error {
 	n := g.N()
-	st := &state{
-		g:         g,
-		b:         labelBits(n),
-		delta:     eps / (2 * float64(labelBits(n))),
-		nodes:     nodes,
-		label:     make([]int, n),
-		clusters:  make([]clusterInfo, n),
-		retired:   make([]bool, n),
-		pos:       make([]int, n),
-		depth:     make([]int, n),
-		inActive:  make([]bool, n),
-		propCount: make([]int, n),
+	if n > math.MaxInt32 || 2*g.M() > math.MaxInt32 {
+		return fmt.Errorf("rg: graph with %d nodes and %d edges exceeds int32 ids", n, g.M())
 	}
+	if err := st.number(n, nodes); err != nil {
+		return err
+	}
+	st.g = g
+	st.b = labelBits(n)
+	st.delta = eps / (2 * float64(st.b))
+	st.buildAdjacency(nodes)
+
+	ns := len(st.host)
+	st.label = resize(st.label, ns)
+	st.clusters = resize(st.clusters, ns)
+	st.pos = resize(st.pos, ns)
+	st.depth = resize(st.depth, ns)
+	st.inActive = resize(st.inActive, ns)
+	st.propCount = resize(st.propCount, ns)
+	st.stat = resize(st.stat, ns+1)
 	for v := range st.label {
-		st.label[v] = -1
-	}
-	for _, v := range nodes {
-		st.label[v] = v
+		st.label[v] = int32(v)
 		st.clusters[v] = clusterInfo{size: 1, treeSize: 1}
 	}
-	return st
+	clear(st.pos)
+	clear(st.depth)
+	clear(st.inActive)
+	clear(st.propCount)
+	st.stat[0] = statDead
+	// Every candidate and proposal list holds each node of S at most once,
+	// so capacity |S| is final. The attach log holds the live trees plus
+	// one phase's attachments, which rarely reach 2|S|.
+	st.activeBlue = reserve(st.activeBlue, ns)
+	st.props = reserve(st.props, ns)
+	st.grouped = reserve(st.grouped, ns)
+	st.propLabels = reserve(st.propLabels, ns)
+	st.propEnds = reserve(st.propEnds, ns)
+	st.attaches = reserve(st.attaches, 2*ns)
+	return nil
+}
+
+// number fills st.host with the carved set in ascending order, checking
+// that nodes holds distinct ids in [0, n).
+func (st *state) number(n int, nodes []int) error {
+	if nodes == nil {
+		st.host = resize(st.host, n)
+		for v := range st.host {
+			st.host[v] = int32(v)
+		}
+		return nil
+	}
+	st.host = st.host[:0]
+	sorted := true
+	for i, v := range nodes {
+		if v < 0 || v >= n {
+			return fmt.Errorf("rg: nodes[%d] = %d outside [0, %d)", i, v, n)
+		}
+		if i > 0 && v <= nodes[i-1] {
+			sorted = false
+		}
+		st.host = append(st.host, int32(v))
+	}
+	if !sorted {
+		slices.Sort(st.host)
+		for i := 1; i < len(st.host); i++ {
+			if st.host[i] == st.host[i-1] {
+				return fmt.Errorf("rg: node %d appears twice in nodes", st.host[i])
+			}
+		}
+	}
+	return nil
+}
+
+// buildAdjacency builds the int32 CSR of G[S] and the seeding order. Host
+// neighbor lists are ascending and local numbering is monotone, so local
+// neighbor lists are ascending too. When S is all of g, local ids are host
+// ids and no lookup table is needed.
+func (st *state) buildAdjacency(nodes []int) {
+	ns := len(st.host)
+	full := ns == st.g.N()
+	degrees := 2 * st.g.M()
+	if !full {
+		if len(st.loc) < st.g.N() {
+			st.loc = make([]int32, st.g.N())
+			for v := range st.loc {
+				st.loc[v] = -1
+			}
+		}
+		degrees = 0
+		for i, v := range st.host {
+			st.loc[v] = int32(i)
+			degrees += st.g.Degree(int(v))
+		}
+	}
+	st.adjOff = resize(st.adjOff, ns+1)
+	st.adj = reserve(st.adj, degrees)
+	for i, v := range st.host {
+		st.adjOff[i] = int32(len(st.adj))
+		for _, w := range st.g.Neighbors(int(v)) {
+			if full {
+				st.adj = append(st.adj, int32(w))
+			} else if lw := st.loc[w]; lw >= 0 {
+				st.adj = append(st.adj, lw)
+			}
+		}
+	}
+	st.adjOff[ns] = int32(len(st.adj))
+
+	st.seed = resize(st.seed, ns)
+	switch {
+	case nodes == nil:
+		copy(st.seed, st.host)
+	case full:
+		for i, v := range nodes {
+			st.seed[i] = int32(v)
+		}
+	default:
+		for i, v := range nodes {
+			st.seed[i] = st.loc[v]
+		}
+	}
+	if !full {
+		for _, v := range st.host {
+			st.loc[v] = -1
+		}
+	}
+}
+
+// release returns st to the pool without its graph, unless its carved set
+// was too large to keep (see maxPooledNodes).
+func (st *state) release() {
+	st.g = nil
+	if len(st.host) <= maxPooledNodes {
+		statePool.Put(st)
+	}
+}
+
+// neighbors returns v's neighbor list in G[S].
+func (st *state) neighbors(v int32) []int32 {
+	return st.adj[st.adjOff[v]:st.adjOff[v+1]]
 }
 
 func bit(x, i int) int { return (x >> i) & 1 }
@@ -205,38 +384,45 @@ func growthSteps(n int, delta float64) int {
 
 // runPhase executes one bit phase to quiescence.
 func (st *state) runPhase(phase int, m *rounds.Meter) {
-	// Cluster labels are exactly the node ids of S, so the per-phase scans
-	// walk the carved set, not all of the host graph's cluster slots.
-	for _, l := range st.nodes {
-		st.retired[l] = false
-	}
-	st.seedActiveBlue(phase)
+	st.paint(phase)
+	st.seedActiveBlue()
 
-	for st.collectProposals(phase) > 0 {
+	for st.collectProposals() > 0 {
 		m.Charge("rg/propose", 2)
 		st.resolveProposals(m)
 	}
 	// Once per phase: pipelined tree maintenance over congested edges.
-	depth := 0
-	for _, l := range st.nodes {
-		if d := st.clusters[l].maxDepth; d > depth {
-			depth = d
-		}
+	var depth int32
+	for _, x := range st.clusters {
+		depth = max(depth, x.maxDepth)
 	}
 	m.Charge("rg/congestion", int64(depth+1)*int64(phase+1))
 	st.dropDeadAttaches()
 }
 
+// paint rebuilds the label status table for a phase: a label is red iff
+// bit phase of its host id is 1, and no cluster has retired yet.
+func (st *state) paint(phase int) {
+	for l, v := range st.host {
+		st.stat[l+1] = byte(v>>phase) & statRed
+	}
+}
+
+// liveBlue reports whether a node with label l is live and blue.
+func (st *state) liveBlue(l int32) bool {
+	return st.stat[l+1]&(statRed|statDead) == 0
+}
+
 // seedActiveBlue initializes the proposer candidate set for a phase: every
-// live blue node of S. It reads labels only; the first collectProposals
-// drops the candidates that have no live, non-retired red neighbor. The
-// previous phase ended only once every candidate had dropped out, so the
-// set starts empty.
+// live blue node of S, in the caller's nodes order. It reads labels only;
+// the first collectProposals drops the candidates that have no live,
+// non-retired red neighbor. The previous phase ended only once every
+// candidate had dropped out, so the set starts empty.
 //
 //sdlint:hotpath
-func (st *state) seedActiveBlue(phase int) {
-	for _, v := range st.nodes {
-		if l := st.label[v]; l >= 0 && bit(l, phase) == 0 {
+func (st *state) seedActiveBlue() {
+	for _, v := range st.seed {
+		if st.liveBlue(st.label[v]) {
 			st.addActive(v)
 		}
 	}
@@ -245,7 +431,7 @@ func (st *state) seedActiveBlue(phase int) {
 // addActive adds v to the candidate proposer set once.
 //
 //sdlint:hotpath
-func (st *state) addActive(v int) {
+func (st *state) addActive(v int32) {
 	if !st.inActive[v] {
 		st.inActive[v] = true
 		st.activeBlue = append(st.activeBlue, v)
@@ -254,9 +440,12 @@ func (st *state) addActive(v int) {
 
 // collectProposals computes this step's proposals: every live blue
 // candidate proposes to the smallest-label non-retired red cluster among
-// its neighbors, through its smallest-id member neighbor. The proposals
-// are bucketed by label into the reusable grouped/propLabels scratch
-// (counting scatter — no per-step map) and their count is returned.
+// its neighbors, through its smallest-id member neighbor. The scan is
+// branch-free: it packs (label, via) into one key, forces the key to the
+// maximum when the neighbor's cluster is not open (dead, blue or retired)
+// and keeps the minimum. The proposals are bucketed by label into the
+// reusable grouped/propLabels scratch (counting scatter — no per-step map)
+// and their count is returned.
 //
 // Neither activeBlue nor propLabels is sorted, because the step's outcome
 // does not depend on the order in which candidates are scanned or groups
@@ -275,26 +464,25 @@ func (st *state) addActive(v int) {
 // (node, parent) edges the tree has.
 //
 //sdlint:hotpath
-func (st *state) collectProposals(phase int) int {
+func (st *state) collectProposals() int {
 	kept := st.activeBlue[:0]
 	st.props = st.props[:0]
 	for _, v := range st.activeBlue {
-		if lv := st.label[v]; lv < 0 || bit(lv, phase) != 0 {
+		if !st.liveBlue(st.label[v]) {
 			st.inActive[v] = false // joined a red cluster or died
 			continue
 		}
-		bestLabel, bestVia := -1, -1
-		for _, u := range st.g.Neighbors(v) {
+		best := uint64(math.MaxUint64)
+		for _, u := range st.neighbors(v) {
 			lu := st.label[u]
-			if lu < 0 || bit(lu, phase) != 1 || st.retired[lu] {
-				continue
+			key := uint64(uint32(lu))<<32 | uint64(uint32(u))
+			if st.stat[lu+1] != statRed {
+				key = math.MaxUint64
 			}
-			if bestLabel == -1 || lu < bestLabel || (lu == bestLabel && u < bestVia) {
-				bestLabel, bestVia = lu, u
-			}
+			best = min(best, key)
 		}
-		if bestLabel >= 0 {
-			st.props = append(st.props, proposal{label: bestLabel, node: v, via: bestVia})
+		if best != math.MaxUint64 {
+			st.props = append(st.props, proposal{label: int32(best >> 32), node: v, via: int32(uint32(best))})
 			kept = append(kept, v)
 		} else {
 			// No live red neighbor, or all adjacent red clusters retired:
@@ -327,7 +515,7 @@ func (st *state) groupProposals() {
 	st.grouped = st.grouped[:0]
 	st.grouped = append(st.grouped, st.props...)
 	st.propEnds = st.propEnds[:0]
-	start := 0
+	var start int32
 	for _, l := range st.propLabels {
 		c := st.propCount[l]
 		st.propCount[l] = start // repurpose as scatter cursor
@@ -350,16 +538,14 @@ func (st *state) groupProposals() {
 //
 //sdlint:hotpath
 func (st *state) resolveProposals(m *rounds.Meter) {
-	maxDepth := 0
+	var maxDepth int32
 	for _, l := range st.propLabels {
-		if d := st.clusters[l].maxDepth; d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, st.clusters[l].maxDepth)
 	}
 	m.Charge("rg/aggregate", 2*int64(maxDepth+1))
 	m.ChargeMessages(int64(len(st.propLabels)))
 
-	start := 0
+	var start int32
 	for i, l := range st.propLabels {
 		x := &st.clusters[l]
 		ps := st.grouped[start:st.propEnds[i]]
@@ -367,7 +553,7 @@ func (st *state) resolveProposals(m *rounds.Meter) {
 		if float64(len(ps)) >= st.delta*float64(x.size) {
 			st.accept(x, l, ps)
 		} else {
-			st.retired[l] = true
+			st.stat[l+1] |= statRetired
 			for _, p := range ps {
 				st.kill(p.node)
 			}
@@ -381,11 +567,11 @@ func (st *state) resolveProposals(m *rounds.Meter) {
 // (package doc) the proposer is not yet a node of that tree.
 //
 //sdlint:hotpath
-func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
+func (st *state) accept(x *clusterInfo, l int32, ps []proposal) {
 	for _, p := range ps {
 		v, via := p.node, p.via
 		if st.label[via] != l {
-			treeInvariantBroken(l, via)
+			treeInvariantBroken(int(st.host[l]), int(st.host[via]))
 		}
 		st.clusters[st.label[v]].size--
 		st.label[v] = l
@@ -395,11 +581,9 @@ func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
 		x.treeSize++
 		d := st.depth[via] + 1
 		st.depth[v] = d
-		if d > x.maxDepth {
-			x.maxDepth = d
-		}
+		x.maxDepth = max(x.maxDepth, d)
 		// Blue neighbors of the newly red node become candidates.
-		for _, w := range st.g.Neighbors(v) {
+		for _, w := range st.neighbors(v) {
 			if st.label[w] >= 0 {
 				st.addActive(w)
 			}
@@ -415,7 +599,7 @@ func treeInvariantBroken(l, via int) {
 	panic(fmt.Sprintf("rg: tree invariant broken: via %d is not a member of cluster %d", via, l))
 }
 
-func (st *state) kill(v int) {
+func (st *state) kill(v int32) {
 	st.clusters[st.label[v]].size--
 	st.label[v] = -1
 }
@@ -441,50 +625,51 @@ func (st *state) dropDeadAttaches() {
 }
 
 // carving materializes the final clusters in deterministic label order.
-// Labels are node ids, so ascending slice order IS sorted label order; the
-// label-to-dense-id table is one flat slice, not a map. The surviving
-// clusters' trees are cut from shared slabs (capacity-capped, so an Attach
-// on one tree reallocates instead of overwriting the next) and filled by
-// one replay of the attach log, which after the last phase holds only the
-// surviving clusters' attachments (see dropDeadAttaches). A label outside
-// S has size 0, so the size test alone picks the surviving clusters.
+// Local ids are ascending in host id, so ascending label order IS sorted
+// host label order; the label-to-dense-id table is one flat slice, not a
+// map. The surviving clusters' trees are cut from shared slabs
+// (capacity-capped, so an Attach on one tree reallocates instead of
+// overwriting the next) and filled by one replay of the attach log, which
+// after the last phase holds only the surviving clusters' attachments (see
+// dropDeadAttaches).
 func (st *state) carving() *cluster.Carving {
 	assign := make([]int, st.g.N())
 	for v := range assign {
 		assign[v] = cluster.Unclustered
 	}
-	k, total := 0, 0
-	id := make([]int, len(st.clusters))
-	for l := range st.clusters {
-		if st.clusters[l].size > 0 {
-			id[l] = k
+	st.id = resize(st.id, len(st.clusters))
+	var k, total int32
+	for l, x := range st.clusters {
+		if x.size > 0 {
+			st.id[l] = k
 			k++
-			total += st.clusters[l].treeSize
+			total += x.treeSize
 		}
 	}
 	centers := make([]int, k)
 	trees := make([]*cluster.Tree, k)
 	headers := make([]cluster.Tree, k)
 	nodeSlab, parentSlab := make([]int, total), make([]int, total)
-	lo := 0
-	for l := range st.clusters {
-		if st.clusters[l].size <= 0 {
+	var lo int32
+	for l, x := range st.clusters {
+		if x.size <= 0 {
 			continue
 		}
-		hi := lo + st.clusters[l].treeSize
-		nodeSlab[lo], parentSlab[lo] = l, -1
-		t := &headers[id[l]]
-		*t = cluster.Tree{Root: l, Nodes: nodeSlab[lo : lo+1 : hi], Parent: parentSlab[lo : lo+1 : hi]}
-		centers[id[l]], trees[id[l]] = l, t
+		hi := lo + x.treeSize
+		root := int(st.host[l])
+		nodeSlab[lo], parentSlab[lo] = root, -1
+		t := &headers[st.id[l]]
+		*t = cluster.Tree{Root: root, Nodes: nodeSlab[lo : lo+1 : hi], Parent: parentSlab[lo : lo+1 : hi]}
+		centers[st.id[l]], trees[st.id[l]] = root, t
 		lo = hi
 	}
 	for _, a := range st.attaches {
-		trees[id[a.label]].Attach(a.node, a.parent)
+		trees[st.id[a.label]].Attach(int(st.host[a.node]), int(a.parent))
 	}
 	for v, l := range st.label {
 		if l >= 0 {
-			assign[v] = id[l]
+			assign[st.host[v]] = int(st.id[l])
 		}
 	}
-	return &cluster.Carving{Assign: assign, K: k, Centers: centers, Trees: trees}
+	return &cluster.Carving{Assign: assign, K: int(k), Centers: centers, Trees: trees}
 }

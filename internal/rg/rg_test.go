@@ -228,17 +228,18 @@ func ExampleCarve() {
 	// Output: true true
 }
 
-// TestCarveAllocs bounds Carve's heap allocations on connected-gnp(2000).
-// A carve allocates its O(n) state, the proposal scratch (amortized
-// growth) and the output slabs, but nothing per step, per acceptance or
-// per cluster. The map-backed trees this layout replaced took ~4205
-// allocations here; the slab layout takes ~80.
+// TestCarveAllocs bounds a warm Carve's heap allocations on
+// connected-gnp(2000). The carver state comes from a pool, so a warm carve
+// allocates only its output: the assignment, the centers, the tree headers
+// and pointers, the two tree slabs and the Carving, 7 allocations. The
+// map-backed trees took ~4205 allocations here, the slab layout with a
+// fresh state per call ~80.
 func TestCarveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard is meaningless under -race instrumentation")
 	}
 	g := graph.ConnectedGnp(2000, 6.0/2000, 5)
-	const ceiling = 130
+	const ceiling = 10
 	for _, eps := range []float64{0.3, 0.05} {
 		if avg := testing.AllocsPerRun(5, func() {
 			if _, err := Carve(g, nil, eps, nil); err != nil {
@@ -250,18 +251,23 @@ func TestCarveAllocs(t *testing.T) {
 	}
 }
 
-// TestCarveBytes bounds the bytes one Carve allocates on a 12000-node
-// connected G(n, p). The attach log keeps only the attachments of clusters
-// that still have a member, so a carve's memory is its O(n) state, the
-// live trees and the output. Keeping every attachment of the run took
-// ~16.9 MB (~1405 B/node) here; dropping dead clusters' entries at the end
-// of each phase takes ~5.2 MB (~436 B/node).
+// TestCarveBytes bounds the bytes a warm Carve allocates on a 12000-node
+// connected G(n, p). With the state pooled, that is the output alone:
+// ~295 KB (~25 B/node). Keeping every attachment of the run took ~16.9 MB
+// (~1405 B/node) here, and a fresh int-sized state per call with the attach
+// log cut to live clusters ~5.2 MB (~436 B/node).
 func TestCarveBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard is meaningless under -race instrumentation")
 	}
 	g := graph.ConnectedGnp(12000, 6.0/12000, 11)
-	const ceiling = 8 << 20
+	const ceiling = 512 << 10
+	// One P, as in testing.AllocsPerRun: the pool's per-P slot then hands
+	// the warm state back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := Carve(g, nil, 0.05, nil); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := Carve(g, nil, 0.05, nil); err != nil {
@@ -269,6 +275,31 @@ func TestCarveBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Errorf("Carve allocates %d bytes, want <= %d", got, ceiling)
+		t.Errorf("warm Carve allocates %d bytes, want <= %d", got, ceiling)
+	}
+}
+
+// TestCarveRejectsBadNodes: local numbering needs distinct node ids in
+// range, so Carve refuses anything else instead of indexing out of range.
+func TestCarveRejectsBadNodes(t *testing.T) {
+	g := graph.Grid(5, 5)
+	cases := []struct {
+		name  string
+		nodes []int
+	}{
+		{"out of range", []int{0, 1, 99}},
+		{"equal to n", []int{25}},
+		{"negative", []int{-1, 0}},
+		{"duplicate", []int{0, 1, 1}},
+		{"duplicate unsorted", []int{7, 2, 7}},
+	}
+	for _, tc := range cases {
+		if _, err := Carve(g, tc.nodes, 0.5, nil); err == nil {
+			t.Errorf("%s: nodes %v accepted", tc.name, tc.nodes)
+		}
+	}
+	// The same state carves a valid set afterwards.
+	if _, err := Carve(g, []int{4, 0, 1}, 0.5, nil); err != nil {
+		t.Fatal(err)
 	}
 }

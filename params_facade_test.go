@@ -119,3 +119,37 @@ func TestEngineRunParams(t *testing.T) {
 		t.Errorf("engine accepted invalid eps: %v", err)
 	}
 }
+
+// TestRunRejectsBadNodes: a node restriction naming an id outside the
+// graph or naming a node twice is rejected with ErrInvalidParams by
+// Engine.Run and by the BallCarve and BallCarveEdges facades, before any
+// construction runs.
+func TestRunRejectsBadNodes(t *testing.T) {
+	g := GridGraph(5, 5)
+	e := NewEngine()
+	cases := []struct {
+		name  string
+		nodes []int
+	}{
+		{"out of range", []int{0, 1, 99}},
+		{"just past the end", []int{3, 25}},
+		{"duplicate", []int{0, 1, 1}},
+		{"duplicate unsorted", []int{7, 2, 7}},
+	}
+	for _, algo := range []string{"rozhon-ghaffari", "chang-ghaffari"} {
+		for _, tc := range cases {
+			p := Params{Algorithm: algo, Kind: KindCarve, Eps: 0.5, Nodes: tc.nodes}
+			if _, err := e.Run(context.Background(), g, p); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s %s: Engine.Run error = %v, want ErrInvalidParams", algo, tc.name, err)
+			}
+			if _, err := BallCarve(g, 0.5, WithAlgorithmName(algo), WithNodes(tc.nodes)); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s %s: BallCarve error = %v, want ErrInvalidParams", algo, tc.name, err)
+			}
+		}
+	}
+	for _, tc := range cases {
+		if _, err := BallCarveEdges(g, 0.5, WithNodes(tc.nodes)); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: BallCarveEdges error = %v, want ErrInvalidParams", tc.name, err)
+		}
+	}
+}
