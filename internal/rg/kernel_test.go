@@ -1,6 +1,7 @@
 package rg
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,7 +20,8 @@ import (
 //
 // It must propose to cluster 7 through node 4. Nodes 6 and 8 are left out
 // of S, so host 7 has local id 6 and host 9 local id 7: red must come from
-// the label's host id, not its local id.
+// the label's host id, not its local id. Push seeding must make the same
+// choices, with node 1 dead in place of its retired cluster.
 func TestProposalTieBreak(t *testing.T) {
 	b := graph.NewBuilder(10)
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 8}, {7, 4}, {7, 5}, {9, 3}} {
@@ -50,28 +52,53 @@ func TestProposalTieBreak(t *testing.T) {
 		}
 	}
 
-	propose := func() (label, via int) {
+	// proposal runs one proposal pass and returns node 0's proposal,
+	// leaving no candidate behind.
+	proposal := func(pass func()) (label, via int) {
 		t.Helper()
-		st.addActive(local(0))
-		if n := st.collectProposals(); n != 1 {
-			t.Fatalf("%d proposals, want 1", n)
+		pass()
+		if len(st.props) != 1 {
+			t.Fatalf("%d proposals, want 1", len(st.props))
 		}
 		p := st.props[0]
 		if st.host[p.node] != 0 {
 			t.Fatalf("proposer %d, want 0", st.host[p.node])
 		}
-		st.inActive[p.node] = false
+		st.nstat[p.node] &^= statActive
 		st.activeBlue = st.activeBlue[:0]
+		st.props = st.props[:0]
 		return int(st.host[p.label]), int(st.host[p.via])
+	}
+	collect := func() {
+		st.nstat[local(0)] = statActive
+		st.activeBlue = append(st.activeBlue, local(0))
+		st.collectProposals()
 	}
 
 	st.paint(0)
-	if l, via := propose(); l != 1 || via != 1 {
+	if l, via := proposal(collect); l != 1 || via != 1 {
 		t.Fatalf("before retirement: proposed (label %d, via %d), want (1, 1)", l, via)
 	}
+	if l, via := proposal(st.pushSeed); l != 1 || via != 1 {
+		t.Fatalf("push at phase start: proposed (label %d, via %d), want (1, 1)", l, via)
+	}
 	st.stat[local(1)+1] |= statRetired
-	if l, via := propose(); l != 7 || via != 4 {
+	if l, via := proposal(collect); l != 7 || via != 4 {
 		t.Fatalf("proposed (label %d, via %d), want (7, 4)", l, via)
+	}
+
+	// Push seeding runs only at phase start, before any retirement, so its
+	// case for cluster 1 is a dead node 1 instead: the dead nodes 1 and 2
+	// push nothing, and the red nodes 3, 4 and 5 push their own keys.
+	st.label[local(1)] = -1
+	st.paint(0)
+	if l, via := proposal(st.pushSeed); l != 7 || via != 4 {
+		t.Fatalf("push: proposed (label %d, via %d), want (7, 4)", l, via)
+	}
+	for v, key := range st.best {
+		if key != math.MaxUint64 {
+			t.Fatalf("push left best[%d] = %#x", st.host[v], key)
+		}
 	}
 }
 

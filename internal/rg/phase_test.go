@@ -17,7 +17,10 @@ import (
 //     node outside S can hold a label;
 //   - label[v] < 0 exactly for nodes that died, and a dead node stays dead;
 //   - every live node's label is a cluster of S whose size counts it;
-//   - the proposer candidate set is empty, as the next seeding assumes.
+//   - the proposer candidate set is empty, as the next seeding assumes;
+//   - every node's status byte has no candidate bit, has the dead bit iff
+//     its label is -1, and has the red bit iff its label was red in the
+//     phase just run.
 func TestPhaseInvariants(t *testing.T) {
 	for _, in := range carveFixtureInputs() {
 		for _, eps := range carveFixtureEps {
@@ -37,7 +40,7 @@ func TestPhaseInvariants(t *testing.T) {
 			m := rounds.NewMeter()
 			for phase := 0; phase < st.b; phase++ {
 				st.runPhase(phase, m)
-				if err := checkPhaseState(st, inS, dead); err != nil {
+				if err := checkPhaseState(st, phase, inS, dead); err != nil {
 					t.Fatalf("%s eps=%v after phase %d: %v", in.name, eps, phase, err)
 				}
 			}
@@ -45,9 +48,9 @@ func TestPhaseInvariants(t *testing.T) {
 	}
 }
 
-// checkPhaseState checks st between phases and records newly dead nodes
-// of S in dead, by local id. It returns the first violation it finds.
-func checkPhaseState(st *state, inS, dead []bool) error {
+// checkPhaseState checks st after phase and records newly dead nodes of S
+// in dead, by local id. It returns the first violation it finds.
+func checkPhaseState(st *state, phase int, inS, dead []bool) error {
 	size := 0
 	for _, ok := range inS {
 		if ok {
@@ -65,9 +68,16 @@ func checkPhaseState(st *state, inS, dead []bool) error {
 	if len(st.activeBlue) != 0 {
 		return fmt.Errorf("%d proposer candidates left over", len(st.activeBlue))
 	}
-	for v, ok := range st.inActive {
-		if ok {
+	for v, s := range st.nstat {
+		l := st.label[v]
+		red := l >= 0 && (st.host[l]>>phase)&1 == 1
+		switch {
+		case s&statActive != 0:
 			return fmt.Errorf("node %d still marked as a candidate", st.host[v])
+		case (s&statDead != 0) != (l < 0):
+			return fmt.Errorf("node %d with label %d has status %#x: dead bit wrong", st.host[v], l, s)
+		case (s&statRed != 0) != red:
+			return fmt.Errorf("node %d with label %d has status %#x: red bit wrong in phase %d", st.host[v], l, s, phase)
 		}
 	}
 	n := len(st.label)

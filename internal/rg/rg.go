@@ -33,11 +33,18 @@
 // host-id order, so every comparison of labels or node ids has the same
 // result in local ids as in host ids, and keeps an int32 CSR of G[S] and
 // int32 state sized |S|. A node is live while its label is non-negative;
-// dead nodes have label -1. A cluster that loses its last member can never
-// grow again, so its tree attachments are dropped at the end of each phase
-// and the carver's memory stays linear in the carved set and the surviving
-// trees. The state of a carve of up to maxPooledNodes nodes is pooled, so
-// a warm carve of such a set allocates only its output.
+// dead nodes have label -1. Each node also has a status byte (red, dead,
+// candidate), so the accept loop tests a neighbour with one load. A
+// cluster that loses its last member can never grow again, so its tree
+// attachments are dropped at the end of each phase and the carver's memory
+// stays linear in the carved set and the surviving trees. The state of a
+// carve of up to maxPooledNodes nodes is pooled, so a warm carve of such a
+// set allocates only its output.
+//
+// The first step of each phase is seeded from whichever colour has fewer
+// live nodes, as in direction-optimising BFS: blue nodes pull the best key
+// from their neighbours, or red nodes push their keys to their neighbours.
+// Both give the same proposals in the same order (see seedProposals).
 package rg
 
 import (
@@ -136,14 +143,17 @@ type attach struct {
 	label, node, parent int32
 }
 
-// Label status bits, one byte per label in state.stat. A label's byte is
-// rebuilt at the start of every phase from bit phase of its host id, so the
-// proposal scan tests one byte instead of a label's sign, bit and
-// retirement. Slot 0 stands for label -1 and is always dead.
+// Status bits, one byte per label in state.stat and one per node in
+// state.nstat. A label's byte is rebuilt at the start of every phase from
+// bit phase of its host id, so the proposal scan tests one byte instead of
+// a label's sign, bit and retirement; slot 0 stands for label -1 and is
+// always dead. A node's byte starts each phase as its label's byte, so a
+// live blue node that is not yet a candidate has status 0.
 const (
-	statRed     byte = 1 // bit phase of the label's host id is 1
-	statRetired byte = 2 // the red cluster retired in this phase
-	statDead    byte = 4 // slot 0 only: the node has no cluster
+	statRed     byte = 1 // bit phase of the (node's) label's host id is 1
+	statRetired byte = 2 // labels only: the red cluster retired in this phase
+	statDead    byte = 4 // slot 0 of stat, or a node that has no cluster
+	statActive  byte = 8 // nodes only: the node is in activeBlue
 )
 
 // state is the carver's kernel. Every node of the carved set S has a local
@@ -175,8 +185,9 @@ type state struct {
 	pos      []int32
 	depth    []int32
 
-	activeBlue []int32 // candidate proposers, maintained incrementally
-	inActive   []bool  // membership mask for activeBlue
+	activeBlue []int32  // candidate proposers, maintained incrementally
+	nstat      []byte   // per-node status bits; statActive marks activeBlue
+	best       []uint64 // push seeding's per-node keys; all MaxUint64 between phases
 
 	// Proposal scratch, reused every step: props collects this step's
 	// proposals in activeBlue order, grouped holds them bucketed by label
@@ -231,16 +242,17 @@ func (st *state) reset(g *graph.Graph, nodes []int, eps float64) error {
 	st.clusters = resize(st.clusters, ns)
 	st.pos = resize(st.pos, ns)
 	st.depth = resize(st.depth, ns)
-	st.inActive = resize(st.inActive, ns)
+	st.nstat = resize(st.nstat, ns)
+	st.best = resize(st.best, ns)
 	st.propCount = resize(st.propCount, ns)
 	st.stat = resize(st.stat, ns+1)
 	for v := range st.label {
 		st.label[v] = int32(v)
 		st.clusters[v] = clusterInfo{size: 1, treeSize: 1}
+		st.best[v] = math.MaxUint64
 	}
 	clear(st.pos)
 	clear(st.depth)
-	clear(st.inActive)
 	clear(st.propCount)
 	st.stat[0] = statDead
 	// Every candidate and proposal list holds each node of S at most once,
@@ -343,10 +355,15 @@ func (st *state) buildAdjacency(nodes []int) {
 }
 
 // release returns st to the pool without its graph, unless its carved set
-// was too large to keep (see maxPooledNodes).
+// was too large to keep (see maxPooledNodes). The host->local table is
+// sized by the host graph, not by S, so a small carve of a large graph
+// drops it rather than pool it.
 func (st *state) release() {
 	st.g = nil
 	if len(st.host) <= maxPooledNodes {
+		if len(st.loc) > maxPooledNodes {
+			st.loc = nil
+		}
 		statePool.Put(st)
 	}
 }
@@ -384,10 +401,8 @@ func growthSteps(n int, delta float64) int {
 
 // runPhase executes one bit phase to quiescence.
 func (st *state) runPhase(phase int, m *rounds.Meter) {
-	st.paint(phase)
-	st.seedActiveBlue()
-
-	for st.collectProposals() > 0 {
+	red, blue := st.paint(phase)
+	for n := st.seedProposals(red, blue); n > 0; n = st.collectProposals() {
 		m.Charge("rg/propose", 2)
 		st.resolveProposals(m)
 	}
@@ -400,52 +415,123 @@ func (st *state) runPhase(phase int, m *rounds.Meter) {
 	st.dropDeadAttaches()
 }
 
-// paint rebuilds the label status table for a phase: a label is red iff
-// bit phase of its host id is 1, and no cluster has retired yet.
-func (st *state) paint(phase int) {
+// paint rebuilds the status bytes for a phase: a label is red iff bit
+// phase of its host id is 1, no cluster has retired yet, and every node
+// takes its label's byte. It returns the number of live red and live blue
+// nodes.
+func (st *state) paint(phase int) (red, blue int) {
+	var live [2]int // by colour
 	for l, v := range st.host {
-		st.stat[l+1] = byte(v>>phase) & statRed
+		c := byte(v>>phase) & statRed
+		st.stat[l+1] = c
+		live[c] += int(st.clusters[l].size)
 	}
+	for v, l := range st.label {
+		st.nstat[v] = st.stat[l+1]
+	}
+	return live[statRed], live[0]
 }
 
-// liveBlue reports whether a node with label l is live and blue.
-func (st *state) liveBlue(l int32) bool {
-	return st.stat[l+1]&(statRed|statDead) == 0
+// seedProposals computes a phase's first proposals from its painted state
+// and returns their count. Every live blue node with a live red neighbour
+// proposes, in seed order, and becomes a candidate; the rest are not
+// candidates until a neighbour joins a red cluster. It works from the side
+// with fewer live nodes: blue nodes pull (pullSeed) when red has at least
+// as many, red nodes push (pushSeed) otherwise, and a phase without a red
+// or without a blue node can make no proposal at all. Pull and push give
+// the same proposals in the same order, so the choice changes only the
+// work done.
+func (st *state) seedProposals(red, blue int) int {
+	st.props = st.props[:0]
+	switch {
+	case red == 0 || blue == 0:
+	case red >= blue:
+		st.pullSeed()
+	default:
+		st.pushSeed()
+	}
+	st.groupProposals()
+	return len(st.props)
 }
 
-// seedActiveBlue initializes the proposer candidate set for a phase: every
-// live blue node of S, in the caller's nodes order. It reads labels only;
-// the first collectProposals drops the candidates that have no live,
-// non-retired red neighbor. The previous phase ended only once every
-// candidate had dropped out, so the set starts empty.
+// pullSeed seeds a phase by scanning the neighbours of every live blue
+// node, in seed order, exactly as a later step scans its candidates.
 //
 //sdlint:hotpath
-func (st *state) seedActiveBlue() {
+func (st *state) pullSeed() {
 	for _, v := range st.seed {
-		if st.liveBlue(st.label[v]) {
-			st.addActive(v)
+		if st.nstat[v] != 0 {
+			continue
+		}
+		if key := st.bestKey(v); key != math.MaxUint64 {
+			st.propose(v, key)
 		}
 	}
 }
 
-// addActive adds v to the candidate proposer set once.
+// pushSeed seeds a phase from the red side: every live red node lowers
+// best[w] to its own key for each neighbour w, whatever w's colour, and
+// one pass over seed then turns the key of each live blue node into its
+// proposal and resets best. It is exact only at phase start: no cluster
+// has retired yet, so the smallest key among a node's red neighbours is
+// the smallest among its open red neighbours, which is what bestKey
+// returns. Walking seed keeps the proposals in pullSeed's order.
 //
 //sdlint:hotpath
-func (st *state) addActive(v int32) {
-	if !st.inActive[v] {
-		st.inActive[v] = true
-		st.activeBlue = append(st.activeBlue, v)
+func (st *state) pushSeed() {
+	for u, s := range st.nstat {
+		if s != statRed {
+			continue
+		}
+		key := uint64(uint32(st.label[u]))<<32 | uint64(uint32(u))
+		for _, w := range st.neighbors(int32(u)) {
+			st.best[w] = min(st.best[w], key)
+		}
+	}
+	for _, v := range st.seed {
+		key := st.best[v]
+		st.best[v] = math.MaxUint64
+		if key != math.MaxUint64 && st.nstat[v] == 0 {
+			st.propose(v, key)
+		}
 	}
 }
 
-// collectProposals computes this step's proposals: every live blue
-// candidate proposes to the smallest-label non-retired red cluster among
-// its neighbors, through its smallest-id member neighbor. The scan is
-// branch-free: it packs (label, via) into one key, forces the key to the
-// maximum when the neighbor's cluster is not open (dead, blue or retired)
-// and keeps the minimum. The proposals are bucketed by label into the
-// reusable grouped/propLabels scratch (counting scatter — no per-step map)
-// and their count is returned.
+// bestKey returns v's proposal as a packed (label, via) key: the smallest
+// label among v's neighbours in open (red, not retired) clusters, and
+// within it the smallest neighbour id. It returns MaxUint64 when v has no
+// open red neighbour. The scan is branch-free: it forces a neighbour's key
+// to the maximum when its cluster is not open and keeps the minimum.
+//
+//sdlint:hotpath
+func (st *state) bestKey(v int32) uint64 {
+	best := uint64(math.MaxUint64)
+	for _, u := range st.neighbors(v) {
+		lu := st.label[u]
+		key := uint64(uint32(lu))<<32 | uint64(uint32(u))
+		if st.stat[lu+1] != statRed {
+			key = math.MaxUint64
+		}
+		best = min(best, key)
+	}
+	return best
+}
+
+// propose records the live blue node v's proposal for a packed key and
+// keeps v a candidate for the next step.
+//
+//sdlint:hotpath
+func (st *state) propose(v int32, key uint64) {
+	st.props = append(st.props, proposal{label: int32(key >> 32), node: v, via: int32(uint32(key))})
+	st.activeBlue = append(st.activeBlue, v)
+	st.nstat[v] = statActive
+}
+
+// collectProposals computes a later step's proposals: every candidate that
+// is still live and blue proposes its bestKey, and the rest leave the
+// candidate set. The proposals are bucketed by label into the reusable
+// grouped/propLabels scratch (counting scatter — no per-step map) and
+// their count is returned.
 //
 // Neither activeBlue nor propLabels is sorted, because the step's outcome
 // does not depend on the order in which candidates are scanned or groups
@@ -465,33 +551,24 @@ func (st *state) addActive(v int32) {
 //
 //sdlint:hotpath
 func (st *state) collectProposals() int {
-	kept := st.activeBlue[:0]
+	cands := st.activeBlue
+	st.activeBlue = cands[:0] // refilled in place by propose
 	st.props = st.props[:0]
-	for _, v := range st.activeBlue {
-		if !st.liveBlue(st.label[v]) {
-			st.inActive[v] = false // joined a red cluster or died
+	for _, v := range cands {
+		if st.nstat[v] != statActive {
+			st.nstat[v] &^= statActive // joined a red cluster or died
 			continue
 		}
-		best := uint64(math.MaxUint64)
-		for _, u := range st.neighbors(v) {
-			lu := st.label[u]
-			key := uint64(uint32(lu))<<32 | uint64(uint32(u))
-			if st.stat[lu+1] != statRed {
-				key = math.MaxUint64
-			}
-			best = min(best, key)
-		}
-		if best != math.MaxUint64 {
-			st.props = append(st.props, proposal{label: int32(best >> 32), node: v, via: int32(uint32(best))})
-			kept = append(kept, v)
-		} else {
+		key := st.bestKey(v)
+		if key == math.MaxUint64 {
 			// No live red neighbor, or all adjacent red clusters retired:
 			// the node is asked again this phase only if a neighbor joins a
 			// live red cluster, which re-adds it.
-			st.inActive[v] = false
+			st.nstat[v] = 0
+			continue
 		}
+		st.propose(v, key)
 	}
-	st.activeBlue = kept
 	st.groupProposals()
 	return len(st.props)
 }
@@ -575,6 +652,7 @@ func (st *state) accept(x *clusterInfo, l int32, ps []proposal) {
 		}
 		st.clusters[st.label[v]].size--
 		st.label[v] = l
+		st.nstat[v] |= statRed
 		x.size++
 		st.attaches = append(st.attaches, attach{label: l, node: v, parent: st.pos[via]})
 		st.pos[v] = x.treeSize
@@ -582,10 +660,12 @@ func (st *state) accept(x *clusterInfo, l int32, ps []proposal) {
 		d := st.depth[via] + 1
 		st.depth[v] = d
 		x.maxDepth = max(x.maxDepth, d)
-		// Blue neighbors of the newly red node become candidates.
+		// Live blue neighbors of the newly red node become candidates, in
+		// first-push order.
 		for _, w := range st.neighbors(v) {
-			if st.label[w] >= 0 {
-				st.addActive(w)
+			if st.nstat[w] == 0 {
+				st.nstat[w] = statActive
+				st.activeBlue = append(st.activeBlue, w)
 			}
 		}
 	}
@@ -602,6 +682,7 @@ func treeInvariantBroken(l, via int) {
 func (st *state) kill(v int32) {
 	st.clusters[st.label[v]].size--
 	st.label[v] = -1
+	st.nstat[v] |= statDead
 }
 
 // dropDeadAttaches filters the attach log, in place and stably, down to

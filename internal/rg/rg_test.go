@@ -279,6 +279,32 @@ func TestCarveBytes(t *testing.T) {
 	}
 }
 
+// TestPooledStateDropsHostTable: a small carve of a large graph goes back
+// to the pool, but its host->local table, sized by the graph, does not.
+// Kept, that table would be 7.6 MiB after a 4-node carve of
+// graph.Path(2000000); a path of 4·maxPooledNodes nodes shows the same at
+// a smaller cost.
+func TestPooledStateDropsHostTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled items at random")
+	}
+	g := graph.Path(4 * maxPooledNodes)
+	// One P, as in TestCarveBytes: the pool's per-P slot then hands the
+	// carve's state back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := Carve(g, []int{0, 1, 2, 3}, 0.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := statePool.Get().(*state)
+	defer statePool.Put(st)
+	if len(st.host) != 4 {
+		t.Fatalf("pool handed back a state of %d nodes, not the 4-node carve's", len(st.host))
+	}
+	if len(st.loc) > maxPooledNodes {
+		t.Fatalf("pooled state keeps a %d-entry host->local table", len(st.loc))
+	}
+}
+
 // TestCarveRejectsBadNodes: local numbering needs distinct node ids in
 // range, so Carve refuses anything else instead of indexing out of range.
 func TestCarveRejectsBadNodes(t *testing.T) {
