@@ -82,7 +82,6 @@ func run() error {
 		addr    = flag.String("addr", ":8080", "listen address")
 		algo    = flag.String("algo", "chang-ghaffari", "default algorithm for requests that name none: "+strings.Join(strongdecomp.Algorithms(), "|"))
 		workers = flag.Int("workers", 0, "engine worker-pool size (0: GOMAXPROCS)")
-		parBFS  = flag.Bool("par-bfs", false, "frontier-parallel BFS inside large components: a single giant component uses the full worker pool (bit-identical results)")
 		cache   = flag.Int("cache", 256, "result-cache entries (negative: disable caching)")
 		graphs  = flag.Int("graphs", 128, "uploaded-graph store entries")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request computation timeout (0: none)")
@@ -155,7 +154,6 @@ func run() error {
 	svc, err := strongdecomp.NewService(
 		strongdecomp.WithServiceAlgorithm(*algo),
 		strongdecomp.WithServiceWorkers(*workers),
-		strongdecomp.WithServiceParallelBFS(*parBFS),
 		strongdecomp.WithServiceCacheSize(*cache),
 		strongdecomp.WithServiceGraphStore(*graphs),
 		strongdecomp.WithServiceTimeout(*timeout),

@@ -1,8 +1,7 @@
-// BenchmarkCSR* is the substrate benchmark suite behind BENCH_pr3.json: it
-// measures the graph core (build, parse, traverse, subgraph) and the Engine
-// decompose paths that everything else in the repo stands on. cmd/bench runs
-// the same workloads through testing.Benchmark and emits the JSON baseline
-// artifact; see EXPERIMENTS.md for how to regenerate and read it.
+// BenchmarkCSR* is the substrate benchmark suite: it measures the graph
+// core (build, parse, traverse, subgraph) and the Engine decompose paths
+// that everything else in the repo stands on. Run it with
+// `go test -run '^$' -bench BenchmarkCSR -benchmem .`.
 package strongdecomp
 
 import (
@@ -10,16 +9,44 @@ import (
 	"context"
 	"testing"
 
-	"strongdecomp/internal/bench"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 )
 
-// csrBenchGraph is the shared multi-component workload — the same graph
-// cmd/bench measures for BENCH_pr3.json, so the interactive numbers and
-// the committed artifact stay comparable.
+// csrBenchGraph is the shared multi-component workload: structurally
+// different components (random, cycle, grid, tree), so engine runs
+// exercise the per-component split, remap and merge paths rather than
+// the single-component fast path.
 func csrBenchGraph() *graph.Graph {
-	return bench.CSRWorkloadGraph()
+	return graph.DisjointUnion(
+		graph.ConnectedGnp(512, 0.01, 7),
+		graph.Cycle(257),
+		graph.Grid(16, 16),
+		graph.RandomTree(255, 3),
+	)
+}
+
+// TestEngineDecomposeMultiComponentWarmAllocs bounds a warm Engine.Run
+// decompose of csrBenchGraph at one worker: the split, per-component
+// remap and merge path that TestEngineRunWarmAllocs (one component) does
+// not reach. It measured 320 allocations, against 13,320 before the CSR
+// graph core.
+func TestEngineDecomposeMultiComponentWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; alloc counts are nondeterministic")
+	}
+	g := csrBenchGraph()
+	e := NewEngine(WithWorkers(1))
+	run := func() {
+		if _, err := engineDecompose(context.Background(), e, g, 42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const ceiling = 400
+	if allocs := testing.AllocsPerRun(5, run); allocs > ceiling {
+		t.Fatalf("warm multi-component decompose allocates %v per run, want <= %d", allocs, ceiling)
+	}
 }
 
 func BenchmarkCSR_BuildConnectedGnp(b *testing.B) {

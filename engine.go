@@ -27,15 +27,13 @@ import (
 // independent and their color sets may overlap. In the distributed model
 // the components literally run simultaneously, which is why the attached
 // Meter folds component costs with MergeParallel (max) rather than
-// sequentially (sum).
+// sequentially (sum). Components are the engine's only unit of
+// parallelism: inside one component every traversal is sequential.
 type Engine struct {
-	algo         string
-	workers      int
-	parBFS       bool
-	parThreshold int
+	algo    string
+	workers int
 
-	scratch  sync.Pool // *graph.Scratch
-	pscratch sync.Pool // *graph.ParallelScratch
+	scratch sync.Pool // *graph.Scratch
 
 	runs        atomic.Int64
 	batches     atomic.Int64
@@ -61,29 +59,6 @@ func WithWorkers(n int) EngineOption {
 	}
 }
 
-// WithParallelBFS enables intra-component frontier parallelism: when a
-// graph (or a single giant component) meets the size threshold, the
-// component split and the ball-growing BFS of the Theorem 2.1 layer fan
-// out across the engine's workers instead of running on one; the weak
-// carver stays sequential.
-// Results are bit-identical to the sequential path — the parallel
-// traversals reproduce sequential BFS visit order exactly — so golden
-// fixtures and caches are unaffected. Off by default.
-func WithParallelBFS(on bool) EngineOption {
-	return func(e *Engine) { e.parBFS = on }
-}
-
-// WithParallelBFSThreshold sets the minimum node count at which the
-// parallel traversal path engages (default graph.DefaultParallelThreshold).
-// Below it the zero-alloc sequential scratch path runs unchanged.
-func WithParallelBFSThreshold(n int) EngineOption {
-	return func(e *Engine) {
-		if n >= 0 {
-			e.parThreshold = n
-		}
-	}
-}
-
 // WithEngineAlgorithm selects the registered construction the engine runs
 // (default the paper's "chang-ghaffari"). The name is resolved at run time,
 // so constructions registered after NewEngine are reachable too.
@@ -95,9 +70,8 @@ func WithEngineAlgorithm(name string) EngineOption {
 // pool.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
-		algo:         DefaultAlgorithm,
-		workers:      runtime.GOMAXPROCS(0),
-		parThreshold: graph.DefaultParallelThreshold,
+		algo:    DefaultAlgorithm,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -106,15 +80,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		e.workers = 1
 	}
 	e.scratch.New = func() any { return graph.NewScratch() }
-	e.pscratch.New = func() any { return graph.NewParallelScratch() }
 	return e
-}
-
-// parallelConfig returns the engine's intra-component parallelism config
-// and whether it can ever engage (WithParallelBFS on and >1 worker).
-func (e *Engine) parallelConfig() (graph.ParallelConfig, bool) {
-	cfg := graph.ParallelConfig{Workers: e.workers, Threshold: e.parThreshold}
-	return cfg, e.parBFS && e.workers > 1
 }
 
 // Algorithm returns the registry name of the construction the engine runs.
@@ -274,14 +240,8 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 	sc.mark("split")
 	if len(comps) <= 1 {
 		e.runs.Add(1)
-		// Single component (or explicit node subset): component-level
-		// parallelism has nothing to fan out, so hand the construction
-		// the intra-component config instead. Multi-component runs keep
-		// the pool fan-out and stay sequential inside each component —
-		// no nested parallelism.
-		if cfg, ok := e.parallelConfig(); ok {
-			ctx = graph.WithParallelConfig(ctx, cfg)
-		}
+		// Single component (or explicit node subset): nothing to fan out,
+		// so the construction runs on the calling goroutine.
 		c, err := d.Carve(ctx, g, p.Eps, &RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
 		sc.mark("carve-rounds")
 		return c, err
@@ -368,11 +328,6 @@ func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *ro
 	sc.mark("split")
 	if len(comps) <= 1 {
 		e.runs.Add(1)
-		// Same single-component handoff as carve: the one component may
-		// use every worker via frontier parallelism.
-		if cfg, ok := e.parallelConfig(); ok {
-			ctx = graph.WithParallelConfig(ctx, cfg)
-		}
 		dec, err := d.Decompose(ctx, g, &RunOptions{Seed: p.Seed, Meter: dst})
 		sc.mark("carve-rounds")
 		return dec, err
@@ -475,11 +430,6 @@ feed:
 // discovery order) using pooled scratch buffers, so steady-state engine
 // traffic does not reallocate BFS state.
 func (e *Engine) components(g *Graph) [][]int {
-	if cfg, ok := e.parallelConfig(); ok && cfg.Enabled(g.N()) {
-		ps := e.pscratch.Get().(*graph.ParallelScratch)
-		defer e.pscratch.Put(ps)
-		return ps.Components(g, nil, cfg.Workers)
-	}
 	s := e.scratch.Get().(*graph.Scratch)
 	defer e.scratch.Put(s)
 	return s.Components(g, nil)

@@ -124,25 +124,12 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		alive[v] = true
 	}
 
-	// Intra-component parallelism, when the context carries a config:
-	// the component splits and the ball-growing BFS are the traversal
-	// hot spots of a single giant component, and the parallel variants
-	// are order-identical to the sequential ones, so enabling them never
-	// changes the carving.
-	pcfg, hasPcfg := graph.ParallelConfigFrom(ctx)
-	components := func(mask []bool) [][]int {
-		if hasPcfg && pcfg.Enabled(g.N()) {
-			return graph.ParallelComponents(g, mask, pcfg.Workers)
-		}
-		return graph.Components(g, mask)
-	}
-
 	type task struct {
 		comp []int
 		iter int
 	}
 	var queue []task
-	for _, comp := range components(maskOf(g.N(), nodes)) {
+	for _, comp := range graph.Components(g, maskOf(g.N(), nodes)) {
 		queue = append(queue, task{comp: comp, iter: 1})
 	}
 
@@ -205,7 +192,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 					alive[v] = false
 				}
 			}
-			for _, comp := range components(sMask) {
+			for _, comp := range graph.Components(g, sMask) {
 				queue = append(queue, task{comp: comp, iter: t.iter + 1})
 			}
 			continue
@@ -215,12 +202,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		// G[S]; A's removals are NOT committed (the ball may swallow them).
 		root := weakCarving.Centers[giant]
 		depthR := memberTreeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
-		var sizes []int
-		if hasPcfg && pcfg.Enabled(len(s)) {
-			sizes = graph.ParallelNeighborhoodSizes(g, sMask, []int{root}, dist, pcfg.Workers)
-		} else {
-			sizes = graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
-		}
+		sizes := graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
 		maxLayer := len(sizes) - 1
 		rStart := depthR
 		if rStart > maxLayer {
@@ -253,7 +235,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 			sMask[v] = false
 			alive[v] = false
 		}
-		for _, comp := range components(sMask) {
+		for _, comp := range graph.Components(g, sMask) {
 			queue = append(queue, task{comp: comp, iter: t.iter + 1})
 		}
 	}
@@ -266,9 +248,8 @@ func CarveRG(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluste
 	return CarveRGContext(context.Background(), g, nodes, eps, m)
 }
 
-// CarveRGContext is CarveRG with cancellation support. A
-// graph.ParallelConfig on the context reaches StrongCarveContext's
-// component splits and ball BFS; the weak carver itself is sequential.
+// CarveRGContext is CarveRG with cancellation support: the context is
+// checked between StrongCarveContext's component tasks.
 func CarveRGContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
 	return StrongCarveContext(ctx, g, nodes, eps, rg.Carve, m)
 }

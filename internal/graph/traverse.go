@@ -98,17 +98,6 @@ func InducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
 	return sub, orig
 }
 
-// Eccentricity returns the maximum distance from v to any alive node
-// restricted to the nodes reachable from v, and the number of reached nodes.
-func Eccentricity(g *Graph, alive []bool, v int, dist []int) (ecc, reached int) {
-	order := BFS(g, alive, []int{v}, dist)
-	if len(order) == 0 {
-		return -1, 0
-	}
-	last := order[len(order)-1]
-	return dist[last], len(order)
-}
-
 // StrongDiameter returns the exact diameter of the subgraph induced by
 // nodes, or -1 if that subgraph is disconnected or empty. Cost is
 // O(|nodes| * edges(induced)), intended for clusters, which are small.
@@ -140,23 +129,6 @@ func WeakDiameter(g *Graph, alive []bool, nodes []int) int {
 		}
 	}
 	return diam
-}
-
-// DiameterApprox returns a lower bound on the diameter of the alive subgraph
-// via a double sweep from start, in O(m) time. The true diameter is between
-// the returned value and twice it.
-func DiameterApprox(g *Graph, alive []bool, start int) int {
-	dist := make([]int, g.N())
-	order := BFS(g, alive, []int{start}, dist)
-	if len(order) == 0 {
-		return 0
-	}
-	far := order[len(order)-1]
-	order = BFS(g, alive, []int{far}, dist)
-	if len(order) == 0 {
-		return 0
-	}
-	return dist[order[len(order)-1]]
 }
 
 // PowerGraph returns G^k: nodes of g, with an edge between every pair at

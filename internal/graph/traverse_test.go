@@ -181,36 +181,6 @@ func TestWeakVsStrongDiameter(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := Path(7)
-	dist := make([]int, g.N())
-	ecc, reached := Eccentricity(g, nil, 3, dist)
-	if ecc != 3 || reached != 7 {
-		t.Fatalf("ecc=%d reached=%d", ecc, reached)
-	}
-	alive := make([]bool, 7)
-	ecc, reached = Eccentricity(g, alive, 3, dist)
-	if ecc != -1 || reached != 0 {
-		t.Fatalf("dead eccentricity ecc=%d reached=%d", ecc, reached)
-	}
-}
-
-func TestDiameterApproxBounds(t *testing.T) {
-	g := Path(20)
-	if d := DiameterApprox(g, nil, 5); d != 19 {
-		// Double sweep is exact on trees.
-		t.Fatalf("path diameter approx %d", d)
-	}
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	exact := StrongDiameter(g, all)
-	if d := DiameterApprox(g, nil, 0); d > exact {
-		t.Fatalf("approx %d exceeds exact %d", d, exact)
-	}
-}
-
 func TestPowerGraph(t *testing.T) {
 	g := Path(5)
 	p2 := PowerGraph(g, 2)

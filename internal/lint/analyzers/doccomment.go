@@ -14,7 +14,6 @@ import (
 // they graduate into the supported surface.
 var docLintPackages = map[string]bool{
 	modulePath:                                 true,
-	modulePath + "/cmd/bench":                  true,
 	modulePath + "/cmd/decompose":              true,
 	modulePath + "/cmd/loadgen":                true,
 	modulePath + "/cmd/sdlint":                 true,

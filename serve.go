@@ -88,7 +88,6 @@ type serviceConfig struct {
 	cluster     ServiceClusterHooks
 	appCache    int
 	strictApps  bool
-	parBFS      bool
 }
 
 // ServiceOption configures NewService.
@@ -98,15 +97,6 @@ type ServiceOption func(*serviceConfig)
 // (default GOMAXPROCS).
 func WithServiceWorkers(n int) ServiceOption {
 	return func(c *serviceConfig) { c.workers = n }
-}
-
-// WithServiceParallelBFS enables intra-component frontier parallelism on
-// every backing Engine (see WithParallelBFS): a single giant connected
-// component then uses the full worker pool instead of one worker.
-// Results are bit-identical either way, so the setting does not enter
-// any cache identity. Off by default.
-func WithServiceParallelBFS(on bool) ServiceOption {
-	return func(c *serviceConfig) { c.parBFS = on }
 }
 
 // WithServiceCacheSize bounds the result cache (default 256 entries; a
@@ -236,7 +226,7 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 			if _, err := Lookup(algo); err != nil {
 				return nil, err
 			}
-			e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(c.workers), WithParallelBFS(c.parBFS))
+			e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(c.workers))
 			mu.Lock()
 			engines = append(engines, e)
 			mu.Unlock()
