@@ -3,7 +3,7 @@ package service
 // Serving MIS, (Δ+1) coloring, approximate diameter, and decomposition
 // spanners over cached decompositions. RunApp answers through the app
 // tier (tier.go) under the key (graph hash, app, Params.Key); runApp, its
-// miss, resolves the decomposition through Service.do — so it is computed
+// miss, resolves the decomposition through Service.Run — so it is computed
 // at most once across every app that needs it — and runs the app.
 //
 // With Config.StrictApps set, no answer leaves the service unverified:
@@ -238,7 +238,7 @@ func (s *Service) runApp(ctx context.Context, app string, g *graph.Graph, hash s
 	// The decomposition rides the existing serving path end to end: LRU,
 	// disk tier, peer cache, singleflight, compute — so however many apps
 	// run over one graph, the decomposition is computed at most once.
-	dres, err := s.do(ctx, registry.KindDecompose, &Request{Hash: hash, Algo: p.Algorithm, Seed: p.Seed})
+	dres, err := s.Run(ctx, registry.KindDecompose, &Request{Hash: hash, Algo: p.Algorithm, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}

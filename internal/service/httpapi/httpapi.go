@@ -16,6 +16,9 @@
 //	                             answers aligned to request order
 //	                             (fanned out across shards in cluster mode)
 //	POST   /v2/jobs              submit an async job; 202 with a job ID
+//	                             (in cluster mode "<shard>.<id>", so any
+//	                             node routes the ID to the shard holding
+//	                             the job; see JobShard)
 //	GET    /v2/jobs/{id}         job status (state machine: queued →
 //	                             running → done|failed|canceled)
 //	DELETE /v2/jobs/{id}         cancel by ID (idempotent)
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,9 +68,6 @@ const maxBodyBytes = 128 << 20
 // cluster proxy enforces the identical cap before fanning a batch out
 // across shards.
 const MaxBatchRequests = 1024
-
-// maxBatchRequests is the internal alias the handlers use.
-const maxBatchRequests = MaxBatchRequests
 
 // batchConcurrency bounds how many batch items execute at once on top of
 // each runner's own internal parallelism.
@@ -112,6 +113,7 @@ func WithObs(c *obs.Collector) Option {
 // handler serves. In a cluster each shard passes its own ID, and the
 // proxy relays the header verbatim on forwards, so the value a client
 // sees always names the shard that did the work, not the coordinator.
+// The same id prefixes every job ID the handler mints (see JobShard).
 func WithServedBy(id string) Option {
 	return func(a *api) { a.servedBy = id }
 }
@@ -129,8 +131,8 @@ func New(s *service.Service, opts ...Option) http.Handler {
 	mux.HandleFunc("GET /v1/algorithms", api.algorithms)
 	mux.HandleFunc("POST /v1/graphs", api.putGraph)
 	mux.HandleFunc("GET /v1/graphs/{hash}", api.getGraph)
-	mux.HandleFunc("POST /v1/decompose", api.compute(false))
-	mux.HandleFunc("POST /v1/carve", api.compute(true))
+	mux.HandleFunc("POST /v1/decompose", api.compute(registry.KindDecompose))
+	mux.HandleFunc("POST /v1/carve", api.compute(registry.KindCarve))
 	mux.HandleFunc("POST /v1/decompose/batch", api.batch)
 	mux.HandleFunc("POST /v2/jobs", api.submitJob)
 	mux.HandleFunc("GET /v2/jobs/{id}", api.getJob)
@@ -328,8 +330,18 @@ type computeRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// serviceRequest converts the wire body into a service.Request.
-func (b *computeRequest) serviceRequest() (*service.Request, error) {
+// request resolves the wire body into the operation kind and the
+// service request every compute handler runs: the kind the endpoint's
+// path fixes (v1), else the body's, else a decomposition. An unknown
+// kind fails service validation like any other malformed parameter.
+func (b *computeRequest) request(pathKind registry.Kind) (registry.Kind, *service.Request, error) {
+	kind := pathKind
+	if kind == "" {
+		kind = registry.Kind(b.Kind)
+	}
+	if kind == "" {
+		kind = registry.KindDecompose
+	}
 	req := &service.Request{
 		Hash: b.Hash, Algo: b.Algo, Eps: b.Eps, Seed: b.Seed,
 		Timeout: time.Duration(b.TimeoutMS) * time.Millisecond,
@@ -337,11 +349,25 @@ func (b *computeRequest) serviceRequest() (*service.Request, error) {
 	if b.Graph != nil {
 		g, err := graphio.FromDocument(b.Graph)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		req.Graph = g
 	}
-	return req, nil
+	return kind, req, nil
+}
+
+// readCompute decodes and resolves a single compute body (see request),
+// answering 400 itself when either step fails.
+func readCompute(w http.ResponseWriter, r *http.Request, pathKind registry.Kind) (kind registry.Kind, req *service.Request, ok bool) {
+	var body computeRequest
+	err := decodeBody(w, r, &body)
+	if err == nil {
+		kind, req, err = body.request(pathKind)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return kind, req, err == nil
 }
 
 // decodeBody parses a bounded JSON request body.
@@ -375,24 +401,14 @@ type computeResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-func (a *api) compute(carve bool) http.HandlerFunc {
+// compute serves the v1 compute endpoints, whose path fixes the kind.
+func (a *api) compute(pathKind registry.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var body computeRequest
-		if err := decodeBody(w, r, &body); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		kind, req, ok := readCompute(w, r, pathKind)
+		if !ok {
 			return
 		}
-		req, err := body.serviceRequest()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		var res *service.Result
-		if carve {
-			res, err = a.svc.Carve(r.Context(), req)
-		} else {
-			res, err = a.svc.Decompose(r.Context(), req)
-		}
+		res, err := a.svc.Run(r.Context(), kind, req)
 		if err != nil {
 			writeError(w, statusOf(err), err)
 			return
@@ -482,14 +498,8 @@ func appWire(res *service.AppResult) appResponse {
 // cached decomposition. The body is the compute-request shape (inline
 // graph or hash, algo, seed, timeout); eps and kind do not apply.
 func (a *api) runApp(w http.ResponseWriter, r *http.Request) {
-	var body computeRequest
-	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := body.serviceRequest()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	_, req, ok := readCompute(w, r, "")
+	if !ok {
 		return
 	}
 	res, err := a.svc.RunApp(r.Context(), r.PathValue("app"), req)
@@ -531,8 +541,8 @@ func (a *api) batch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body.Requests) > maxBatchRequests {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch carries %d requests, limit %d", len(body.Requests), maxBatchRequests))
+	if len(body.Requests) > MaxBatchRequests {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch carries %d requests, limit %d", len(body.Requests), MaxBatchRequests))
 		return
 	}
 	out := batchResponse{Results: make([]batchItemResponse, len(body.Requests))}
@@ -554,19 +564,11 @@ func (a *api) batch(w http.ResponseWriter, r *http.Request) {
 // batchItem executes one slot of a batch through the same service path as
 // the single-request endpoints.
 func (a *api) batchItem(r *http.Request, item *computeRequest) batchItemResponse {
-	req, err := item.serviceRequest()
+	kind, req, err := item.request("")
 	if err != nil {
 		return batchItemResponse{Error: err.Error()}
 	}
-	var res *service.Result
-	switch item.Kind {
-	case "", string(registry.KindDecompose):
-		res, err = a.svc.Decompose(r.Context(), req)
-	case string(registry.KindCarve):
-		res, err = a.svc.Carve(r.Context(), req)
-	default:
-		return batchItemResponse{Error: fmt.Sprintf("unknown kind %q", item.Kind)}
-	}
+	res, err := a.svc.Run(r.Context(), kind, req)
 	if err != nil {
 		return batchItemResponse{Error: err.Error()}
 	}
@@ -588,9 +590,37 @@ type jobResponse struct {
 	ResultURL string `json:"result_url,omitempty"`
 }
 
-func jobWire(j *service.Job) jobResponse {
+// JobShard splits a wire job ID into the shard that minted it and the
+// service's own ID for the job. A handler built WithServedBy(shard)
+// mints "<shard>.<id>"; without it the wire ID is the bare service ID
+// and shard is empty. Service IDs are hex, so the last dot separates.
+func JobShard(wireID string) (shard, id string) {
+	if i := strings.LastIndexByte(wireID, '.'); i >= 0 {
+		return wireID[:i], wireID[i+1:]
+	}
+	return "", wireID
+}
+
+// job applies op (a job lookup or cancel) to the service job the {id}
+// path value names. An ID this handler did not mint — another shard's,
+// or one missing this shard's prefix — is an unknown job here, never a
+// lookup under the stripped ID.
+func (a *api) job(r *http.Request, op func(id string) (*service.Job, error)) (*service.Job, error) {
+	wireID := r.PathValue("id")
+	if shard, id := JobShard(wireID); shard == a.servedBy {
+		return op(id)
+	}
+	return nil, fmt.Errorf("%w: %q", service.ErrUnknownJob, wireID)
+}
+
+// jobWire renders a job snapshot under its wire ID.
+func (a *api) jobWire(j *service.Job) jobResponse {
+	id := j.ID
+	if a.servedBy != "" {
+		id = a.servedBy + "." + id
+	}
 	out := jobResponse{
-		ID: j.ID, Kind: j.Kind, Algo: j.Algo,
+		ID: id, Kind: j.Kind, Algo: j.Algo,
 		State: string(j.State), Error: j.Error,
 		SubmittedAt: j.SubmittedAt.Format(time.RFC3339Nano),
 	}
@@ -601,7 +631,7 @@ func jobWire(j *service.Job) jobResponse {
 		out.FinishedAt = j.FinishedAt.Format(time.RFC3339Nano)
 	}
 	if j.State == service.JobDone {
-		out.ResultURL = "/v2/jobs/" + j.ID + "/result"
+		out.ResultURL = "/v2/jobs/" + id + "/result"
 	}
 	return out
 }
@@ -609,18 +639,8 @@ func jobWire(j *service.Job) jobResponse {
 // submitJob is POST /v2/jobs: enqueue an async run, answer 202 with the
 // job ID immediately (or 429 when the bounded queue pushes back).
 func (a *api) submitJob(w http.ResponseWriter, r *http.Request) {
-	var body computeRequest
-	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	kind := registry.Kind(body.Kind)
-	if body.Kind == "" {
-		kind = registry.KindDecompose
-	}
-	req, err := body.serviceRequest()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	kind, req, ok := readCompute(w, r, "")
+	if !ok {
 		return
 	}
 	id, err := a.svc.Submit(kind, req)
@@ -633,28 +653,28 @@ func (a *api) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobWire(j))
+	writeJSON(w, http.StatusAccepted, a.jobWire(j))
 }
 
 // getJob is GET /v2/jobs/{id}: the job state machine snapshot.
 func (a *api) getJob(w http.ResponseWriter, r *http.Request) {
-	j, err := a.svc.Job(r.PathValue("id"))
+	j, err := a.job(r, a.svc.Job)
 	if err != nil {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobWire(j))
+	writeJSON(w, http.StatusOK, a.jobWire(j))
 }
 
 // cancelJob is DELETE /v2/jobs/{id}: cancel-by-ID, idempotent — canceling
 // a terminal job just echoes its state.
 func (a *api) cancelJob(w http.ResponseWriter, r *http.Request) {
-	j, err := a.svc.CancelJob(r.PathValue("id"))
+	j, err := a.job(r, a.svc.CancelJob)
 	if err != nil {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobWire(j))
+	writeJSON(w, http.StatusOK, a.jobWire(j))
 }
 
 // jobResult is GET /v2/jobs/{id}/result: the full result of a done job —
@@ -662,7 +682,7 @@ func (a *api) cancelJob(w http.ResponseWriter, r *http.Request) {
 // ?stream=1 (the path that never materializes a second full copy of a
 // huge assignment).
 func (a *api) jobResult(w http.ResponseWriter, r *http.Request) {
-	j, err := a.svc.Job(r.PathValue("id"))
+	j, err := a.job(r, a.svc.Job)
 	if err != nil {
 		writeError(w, statusOf(err), err)
 		return
@@ -672,7 +692,7 @@ func (a *api) jobResult(w http.ResponseWriter, r *http.Request) {
 		if j.State == service.JobFailed || j.State == service.JobCanceled {
 			status = http.StatusGone
 		}
-		writeError(w, status, fmt.Errorf("%w: job %s is %s", service.ErrJobNotDone, j.ID, j.State))
+		writeError(w, status, fmt.Errorf("%w: job %s is %s", service.ErrJobNotDone, r.PathValue("id"), j.State))
 		return
 	}
 	res := j.Result

@@ -336,3 +336,71 @@ func TestV2ResultStreamFalsy(t *testing.T) {
 		}
 	}
 }
+
+// TestV2JobIDNamesShard pins the job-ID format: with WithServedBy the
+// wire ID is "<shard>.<service id>" in the 202, every poll and
+// result_url, and every job endpoint takes it back; without it the ID is
+// the bare service ID. An ID prefixed with another shard (or, in cluster
+// mode, missing this shard's prefix) is an unknown job here — never a
+// lookup under the stripped service ID.
+func TestV2JobIDNamesShard(t *testing.T) {
+	doc := map[string]any{"n": 4, "edges": [][]int{{0, 1}, {1, 2}, {2, 3}}}
+	for _, shard := range []string{"", "s0", "zone.a"} {
+		srv, algo := newOptsServer(t, WithServedBy(shard))
+		resp, body := postJSON(t, srv.URL+"/v2/jobs", map[string]any{"graph": doc, "algo": algo})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("shard %q: submit status %d: %s", shard, resp.StatusCode, body)
+		}
+		var sub jobResponse
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		got, id := JobShard(sub.ID)
+		if got != shard || id == "" || strings.Contains(id, ".") {
+			t.Fatalf("shard %q: job ID %q splits into (%q, %q)", shard, sub.ID, got, id)
+		}
+		if got := resp.Header.Get(ServedByHeader); got != shard {
+			t.Fatalf("shard %q: %s is %q", shard, ServedByHeader, got)
+		}
+
+		j := waitJobState(t, srv.URL, sub.ID, func(j jobResponse) bool { return j.State == "done" })
+		if j.ID != sub.ID || j.ResultURL != "/v2/jobs/"+sub.ID+"/result" {
+			t.Fatalf("shard %q: poll answered id %q, result_url %q", shard, j.ID, j.ResultURL)
+		}
+		if status, _, data := get(t, srv.URL+j.ResultURL); status != http.StatusOK {
+			t.Fatalf("shard %q: result_url: status %d: %s", shard, status, data)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+sub.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %q: cancel of a done job: status %d", shard, resp.StatusCode)
+		}
+
+		foreign := []string{"s9." + id}
+		if shard != "" {
+			foreign = append(foreign, id)
+		}
+		for _, wireID := range foreign {
+			for _, probe := range []struct{ method, path string }{
+				{http.MethodGet, "/v2/jobs/" + wireID},
+				{http.MethodGet, "/v2/jobs/" + wireID + "/result"},
+				{http.MethodDelete, "/v2/jobs/" + wireID},
+			} {
+				req, _ := http.NewRequest(probe.method, srv.URL+probe.path, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(data), wireID) {
+					t.Fatalf("shard %q: %s %s: status %d (%s), want a 404 naming the ID", shard, probe.method, probe.path, resp.StatusCode, data)
+				}
+			}
+		}
+	}
+}

@@ -203,7 +203,7 @@ func (m *jobManager) run(j *job) {
 	kind := j.kind
 	m.mu.Unlock()
 
-	res, err := m.svc.do(ctx, kind, &req)
+	res, err := m.svc.Run(ctx, kind, &req)
 	cancel()
 
 	m.mu.Lock()

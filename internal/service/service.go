@@ -312,12 +312,12 @@ func (r *Result) coversN(n int) bool {
 // decomposition parameter; Params.Normalized zeroes it so the cache key
 // stays canonical.)
 func (s *Service) Decompose(ctx context.Context, req *Request) (*Result, error) {
-	return s.do(ctx, registry.KindDecompose, req)
+	return s.Run(ctx, registry.KindDecompose, req)
 }
 
 // Carve serves a ball carving with boundary parameter req.Eps.
 func (s *Service) Carve(ctx context.Context, req *Request) (*Result, error) {
-	return s.do(ctx, registry.KindCarve, req)
+	return s.Run(ctx, registry.KindCarve, req)
 }
 
 // PutGraph stores g in the graph store and returns its content hash, the
@@ -400,9 +400,11 @@ func (s *Service) AdmitResult(graphHash string, paramsKey string, data []byte) e
 	return nil
 }
 
-// do is the shared request path: canonicalize to Params → resolve graph →
-// cache → singleflight → backend.
-func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Result, error) {
+// Run serves one request of the given kind (empty means decompose)
+// through the shared request path: canonicalize to Params → resolve
+// graph → cache → singleflight → backend. Decompose and Carve are Run
+// with a fixed kind.
+func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*Result, error) {
 	p, err := s.params(kind, req)
 	if err != nil {
 		return nil, err

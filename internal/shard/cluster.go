@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,30 +91,23 @@ type Cluster struct {
 	mu         sync.Mutex
 	down       map[string]bool
 	draining   bool
-	jobOwners  map[string]string // job ID -> member ID, learned from proxied submissions
-	jobOrder   []string          // FIFO eviction order for jobOwners
-	replicated map[string]bool   // graph hashes already pushed to successors
+	replicated map[string]bool // graph hashes already pushed to successors
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
 
-	proxied          atomic.Int64
-	proxyErrors      atomic.Int64
-	servedLocal      atomic.Int64
-	reroutes         atomic.Int64
-	fanoutBatches    atomic.Int64
-	fanoutJobLookups atomic.Int64
-	peerCacheHits    atomic.Int64
-	peerCacheMisses  atomic.Int64
-	peerCacheServed  atomic.Int64
-	resultReplicas   atomic.Int64
-	graphReplicas    atomic.Int64
-	replicaErrors    atomic.Int64
+	proxied         atomic.Int64
+	proxyErrors     atomic.Int64
+	servedLocal     atomic.Int64
+	reroutes        atomic.Int64
+	fanoutBatches   atomic.Int64
+	peerCacheHits   atomic.Int64
+	peerCacheMisses atomic.Int64
+	peerCacheServed atomic.Int64
+	resultReplicas  atomic.Int64
+	graphReplicas   atomic.Int64
+	replicaErrors   atomic.Int64
 }
-
-// maxJobOwners bounds the learned job-routing table; past it the oldest
-// entries fall back to fan-out lookup.
-const maxJobOwners = 8192
 
 // maxReplicatedGraphs bounds the replication dedup set; past it the set
 // resets and pushes become idempotent re-sends.
@@ -152,7 +144,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		client:      &http.Client{Timeout: cfg.PeerTimeout},
 		proxyClient: &http.Client{},
 		down:        make(map[string]bool),
-		jobOwners:   make(map[string]string),
 		replicated:  make(map[string]bool),
 		stopProbe:   make(chan struct{}),
 	}
@@ -373,21 +364,20 @@ func (c *Cluster) Stats() map[string]int64 {
 	}
 	c.mu.Unlock()
 	return map[string]int64{
-		"proxied_total":            c.proxied.Load(),
-		"proxy_errors_total":       c.proxyErrors.Load(),
-		"served_local_total":       c.servedLocal.Load(),
-		"reroutes_total":           c.reroutes.Load(),
-		"fanout_batches_total":     c.fanoutBatches.Load(),
-		"fanout_job_lookups_total": c.fanoutJobLookups.Load(),
-		"peer_cache_hits_total":    c.peerCacheHits.Load(),
-		"peer_cache_misses_total":  c.peerCacheMisses.Load(),
-		"peer_cache_served_total":  c.peerCacheServed.Load(),
-		"result_replicas_total":    c.resultReplicas.Load(),
-		"graph_replicas_total":     c.graphReplicas.Load(),
-		"replica_errors_total":     c.replicaErrors.Load(),
-		"members":                  int64(len(c.members)),
-		"peers_down":               downCount,
-		"draining":                 draining,
+		"proxied_total":           c.proxied.Load(),
+		"proxy_errors_total":      c.proxyErrors.Load(),
+		"served_local_total":      c.servedLocal.Load(),
+		"reroutes_total":          c.reroutes.Load(),
+		"fanout_batches_total":    c.fanoutBatches.Load(),
+		"peer_cache_hits_total":   c.peerCacheHits.Load(),
+		"peer_cache_misses_total": c.peerCacheMisses.Load(),
+		"peer_cache_served_total": c.peerCacheServed.Load(),
+		"result_replicas_total":   c.resultReplicas.Load(),
+		"graph_replicas_total":    c.graphReplicas.Load(),
+		"replica_errors_total":    c.replicaErrors.Load(),
+		"members":                 int64(len(c.members)),
+		"peers_down":              downCount,
+		"draining":                draining,
 	}
 }
 
@@ -568,46 +558,4 @@ func (c *Cluster) push(m Member, path, contentType string, data []byte) bool {
 		return false
 	}
 	return true
-}
-
-// recordJobOwner remembers which member answered a proxied job
-// submission, so later polls route without fan-out.
-func (c *Cluster) recordJobOwner(jobID, memberID string) {
-	if jobID == "" {
-		return
-	}
-	c.mu.Lock()
-	if _, exists := c.jobOwners[jobID]; !exists {
-		for len(c.jobOrder) >= maxJobOwners {
-			delete(c.jobOwners, c.jobOrder[0])
-			c.jobOrder = c.jobOrder[1:]
-		}
-		c.jobOrder = append(c.jobOrder, jobID)
-	}
-	c.jobOwners[jobID] = memberID
-	c.mu.Unlock()
-}
-
-// jobOwner looks a job's recorded owner up.
-func (c *Cluster) jobOwner(jobID string) (Member, bool) {
-	c.mu.Lock()
-	id, ok := c.jobOwners[jobID]
-	c.mu.Unlock()
-	if !ok {
-		return Member{}, false
-	}
-	return c.ring.Member(id)
-}
-
-// liveMembers snapshots the members currently believed alive, self
-// included, sorted by ID.
-func (c *Cluster) liveMembers() []Member {
-	out := make([]Member, 0, len(c.members))
-	for _, m := range c.members {
-		if c.alive(m.ID) {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -62,10 +62,13 @@ func registerShardStub(t *testing.T) (string, *atomic.Int64) {
 }
 
 // swapHandler lets a listener start before the handler behind it exists —
-// the member URLs must be known before the clusters can be built.
+// the member URLs must be known before the clusters can be built. It
+// counts the requests that reach the node, so tests can assert which
+// peers a coordinator contacted.
 type swapHandler struct {
-	mu sync.RWMutex
-	h  http.Handler
+	mu       sync.RWMutex
+	h        http.Handler
+	requests atomic.Int64
 }
 
 func (s *swapHandler) set(h http.Handler) {
@@ -75,6 +78,7 @@ func (s *swapHandler) set(h http.Handler) {
 }
 
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
 	s.mu.RLock()
 	h := s.h
 	s.mu.RUnlock()
@@ -148,6 +152,7 @@ func newTestCluster(t *testing.T, n int, algo string) []*testShard {
 			httpapi.WithReadiness(c.Ready),
 			httpapi.WithHealthDetail(c.HealthDetail),
 			httpapi.WithClusterStats(c.Stats),
+			httpapi.WithServedBy(sh.member.ID),
 		)))
 	}
 	return shards
@@ -402,9 +407,22 @@ func TestClusterPeerLookup(t *testing.T) {
 	}
 }
 
-// TestClusterJobsAcrossShards: a job submitted through one node is
-// visible through every node — by the learned owner route on the
-// submitting coordinator and by fan-out everywhere else.
+// doJob sends one bodiless job request and returns (status, served-by,
+// body).
+func doJob(t *testing.T, method, url string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doServed(t, req)
+}
+
+// TestClusterJobsAcrossShards: a job ID names the shard holding the job,
+// so a job submitted through one node is reachable through every node by
+// routing on the ID alone — one hop to the named shard, no owner table
+// and no fan-out. IDs no member minted 404 without a hop, and a poll for
+// a down shard's job answers 502 without asking anyone else.
 func TestClusterJobsAcrossShards(t *testing.T) {
 	algo, _ := registerShardStub(t)
 	shards := newTestCluster(t, 3, algo)
@@ -418,61 +436,84 @@ func TestClusterJobsAcrossShards(t *testing.T) {
 	if status, body := postJSON(t, shards[coord].srv.URL+"/v1/graphs", graphio.ToDocument(g)); status != http.StatusOK {
 		t.Fatalf("upload: status %d: %s", status, body)
 	}
-	status, body := postJSON(t, shards[coord].srv.URL+"/v2/jobs",
-		map[string]any{"hash": hash, "algo": algo, "seed": 9})
+	data, _ := json.Marshal(map[string]any{"hash": hash, "algo": algo, "seed": 9})
+	req, _ := http.NewRequest(http.MethodPost, shards[coord].srv.URL+"/v2/jobs", bytes.NewReader(data))
+	status, servedBy, body := doServed(t, req)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, body)
 	}
 	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+		ID        string `json:"id"`
+		State     string `json:"state"`
+		ResultURL string `json:"result_url"`
 	}
 	decodeWire(t, body, &job)
-	if job.ID == "" {
-		t.Fatalf("submit answered without a job ID: %s", body)
-	}
-	if _, ok := shards[coord].cluster.jobOwner(job.ID); !ok && coord != owner {
-		t.Fatal("coordinator did not learn the proxied job's owner")
+	prefix, bare := httpapi.JobShard(job.ID)
+	if prefix != servedBy || prefix != shards[owner].member.ID {
+		t.Fatalf("job %q: prefix %q, served by %q, ring owner %q", job.ID, prefix, servedBy, shards[owner].member.ID)
 	}
 
-	// Poll from the third node (no learned route there: fan-out).
-	waitFor(t, "job done via third node", func() bool {
-		resp, err := http.Get(shards[third].srv.URL + "/v2/jobs/" + job.ID)
-		if err != nil {
-			return false
+	// Every node answers every job endpoint, and the answer always comes
+	// from the owner.
+	nodes := []int{coord, owner, third}
+	polled := job
+	for _, i := range nodes {
+		waitFor(t, fmt.Sprintf("job done via %s", shards[i].member.ID), func() bool {
+			status, by, data := doJob(t, http.MethodGet, shards[i].srv.URL+"/v2/jobs/"+job.ID)
+			return status == http.StatusOK && by == prefix && json.Unmarshal(data, &polled) == nil && polled.State == "done"
+		})
+		if polled.ID != job.ID || polled.ResultURL != "/v2/jobs/"+job.ID+"/result" {
+			t.Fatalf("poll via %s answered id %q, result_url %q", shards[i].member.ID, polled.ID, polled.ResultURL)
 		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		var j struct {
-			State string `json:"state"`
+	}
+	for _, i := range nodes {
+		base := shards[i].srv.URL
+		status, by, data := doJob(t, http.MethodGet, base+polled.ResultURL)
+		if status != http.StatusOK || by != prefix {
+			t.Fatalf("result_url via %s: status %d, served by %q: %s", shards[i].member.ID, status, by, data)
 		}
-		return json.Unmarshal(data, &j) == nil && j.State == "done"
-	})
-
-	resp, err := http.Get(shards[third].srv.URL + "/v2/jobs/" + job.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result via third node: status %d: %s", resp.StatusCode, data)
-	}
-	var res computeWire
-	decodeWire(t, data, &res)
-	if res.GraphHash != hash || len(res.Assign) != g.N() {
-		t.Fatalf("job result: %+v", res)
+		var res computeWire
+		decodeWire(t, data, &res)
+		if res.GraphHash != hash || len(res.Assign) != g.N() {
+			t.Fatalf("job result via %s: %+v", shards[i].member.ID, res)
+		}
+		// Canceling a done job is idempotent: it echoes the done state.
+		status, by, data = doJob(t, http.MethodDelete, base+"/v2/jobs/"+job.ID)
+		if status != http.StatusOK || by != prefix || json.Unmarshal(data, &polled) != nil || polled.State != "done" {
+			t.Fatalf("DELETE via %s: status %d, served by %q: %s", shards[i].member.ID, status, by, data)
+		}
 	}
 
-	// Unknown IDs still 404 through the fan-out path.
-	resp2, err := http.Get(shards[third].srv.URL + "/v2/jobs/no-such-job")
-	if err != nil {
-		t.Fatal(err)
+	// An unprefixed ID and one naming no member route nowhere: the
+	// receiving node's handler answers the canonical 404 itself.
+	proxied := shards[third].cluster.Stats()["proxied_total"]
+	for _, id := range []string{bare, "mallory." + bare} {
+		if status, by, data := doJob(t, http.MethodGet, shards[third].srv.URL+"/v2/jobs/"+id); status != http.StatusNotFound || by != shards[third].member.ID {
+			t.Fatalf("job %q: status %d, served by %q (%s), want a local 404", id, status, by, data)
+		}
 	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status %d, want 404", resp2.StatusCode)
+	if got := shards[third].cluster.Stats()["proxied_total"]; got != proxied {
+		t.Fatalf("unroutable IDs were proxied: proxied_total %d -> %d", proxied, got)
+	}
+
+	// Owner down: the one shard that holds the job is unreachable, so the
+	// poll answers 502 and no other peer is asked.
+	shards[third].cluster.markDown(shards[owner].member.ID)
+	before := [3]int64{}
+	for i, sh := range shards {
+		before[i] = sh.swap.requests.Load()
+	}
+	if status, _, data := doJob(t, http.MethodGet, shards[third].srv.URL+"/v2/jobs/"+job.ID); status != http.StatusBadGateway {
+		t.Fatalf("poll with the owner down: status %d (%s), want 502", status, data)
+	}
+	for i, sh := range shards {
+		want := before[i]
+		if i == third {
+			want++ // the poll itself
+		}
+		if got := sh.swap.requests.Load(); got != want {
+			t.Fatalf("%s received %d requests during the poll, want %d", sh.member.ID, got-before[i], want-before[i])
+		}
 	}
 }
 
@@ -574,6 +615,14 @@ func TestNewClusterRejectsForeignSelf(t *testing.T) {
 // doReq performs an arbitrary request and returns (status, body).
 func doReq(t *testing.T, req *http.Request) (int, []byte) {
 	t.Helper()
+	status, _, out := doServed(t, req)
+	return status, out
+}
+
+// doServed performs an arbitrary request and returns (status, the
+// shard that served it, body).
+func doServed(t *testing.T, req *http.Request) (int, string, []byte) {
+	t.Helper()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +632,7 @@ func doReq(t *testing.T, req *http.Request) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, resp.Header.Get(httpapi.ServedByHeader), out
 }
 
 // TestClusterInternalAuth pins the peer-authentication contract: the
@@ -615,14 +664,55 @@ func TestClusterInternalAuth(t *testing.T) {
 		t.Fatalf("forged ring introspection: status %d, want 403", status)
 	}
 
-	// A forged header on a public route must not bypass routing.
-	g := graph.Cycle(9)
-	body, _ := json.Marshal(map[string]any{"graph": graphio.ToDocument(g), "algo": algo})
-	req, _ = http.NewRequest(http.MethodPost, base+"/v1/decompose", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(internalHeader, "mallory")
-	if status, out := doReq(t, req); status != http.StatusForbidden {
-		t.Fatalf("forged routing bypass: status %d (%s), want 403", status, out)
+	// Every routed endpoint: a forged header is rejected before routing,
+	// and a member's header pins the request to this node — served here
+	// even though another shard owns the graph (or the job ID).
+	var g *graph.Graph
+	for n := 9; g == nil; n++ {
+		if c := graph.Cycle(n); shards[0].cluster.Ring().Owner(graphio.Hash(c)).ID != shards[0].member.ID {
+			g = c
+		}
+	}
+	hash := graphio.Hash(g)
+	jobPath := "/v2/jobs/" + shards[0].cluster.Ring().Owner(hash).ID + ".deadbeef"
+	compute := map[string]any{"graph": graphio.ToDocument(g), "algo": algo, "eps": 0.5}
+	for _, ep := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/v1/graphs", graphio.ToDocument(g)},
+		{http.MethodGet, "/v1/graphs/" + hash, nil},
+		{http.MethodPost, "/v1/decompose", compute},
+		{http.MethodPost, "/v1/carve", compute},
+		{http.MethodPost, "/v1/decompose/batch", map[string]any{"requests": []any{compute}}},
+		{http.MethodPost, "/v2/apps/mis", compute},
+		{http.MethodPost, "/v2/jobs", compute},
+		{http.MethodGet, jobPath, nil},
+		{http.MethodDelete, jobPath, nil},
+		{http.MethodGet, jobPath + "/result", nil},
+	} {
+		send := func(shardID string) (int, string, []byte) {
+			var body io.Reader
+			if ep.body != nil {
+				data, _ := json.Marshal(ep.body)
+				body = bytes.NewReader(data)
+			}
+			req, _ := http.NewRequest(ep.method, base+ep.path, body)
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set(internalHeader, shardID)
+			return doServed(t, req)
+		}
+		if status, _, out := send("mallory"); status != http.StatusForbidden {
+			t.Fatalf("%s %s with a forged header: status %d (%s), want 403", ep.method, ep.path, status, out)
+		}
+		proxied := shards[0].cluster.Stats()["proxied_total"]
+		status, by, out := send(shards[1].member.ID)
+		if status == http.StatusForbidden || by != shards[0].member.ID {
+			t.Fatalf("%s %s with a member header: status %d, served by %q (%s), want served here", ep.method, ep.path, status, by, out)
+		}
+		if got := shards[0].cluster.Stats()["proxied_total"]; got != proxied {
+			t.Fatalf("%s %s with a member header was proxied onward", ep.method, ep.path)
+		}
 	}
 
 	// A genuine member ID still passes (membership-only mode).

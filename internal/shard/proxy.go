@@ -4,10 +4,11 @@ package shard
 // the cluster accepts the full v1/v2 API and routes each request to the
 // shard the ring says owns it — clients need one address, not a cluster
 // map. Routing needs only the graph hash (taken from the body, or
-// computed from an inline graph), requests are forwarded byte-identical,
-// and forwarded requests carry an internal header that pins them to the
-// receiving node, so two shards with momentarily different liveness
-// views can never bounce a request between them.
+// computed from an inline graph) or, for job polls, the shard named in
+// the job ID. Requests are forwarded byte-identical, and forwarded
+// requests carry an internal header that pins them to the receiving
+// node, so two shards with momentarily different liveness views can
+// never bounce a request between them.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -63,7 +65,7 @@ func (c *Cluster) Handler(svc *service.Service, local http.Handler) http.Handler
 	mux.HandleFunc("POST /v1/carve", p.compute)
 	mux.HandleFunc("POST /v1/decompose/batch", p.batch)
 	mux.HandleFunc("POST /v2/apps/{app}", p.compute)
-	mux.HandleFunc("POST /v2/jobs", p.submitJob)
+	mux.HandleFunc("POST /v2/jobs", p.compute)
 	mux.HandleFunc("GET /v2/jobs/{id}", p.jobByID)
 	mux.HandleFunc("DELETE /v2/jobs/{id}", p.jobByID)
 	mux.HandleFunc("GET /v2/jobs/{id}/result", p.jobByID)
@@ -76,9 +78,23 @@ func (c *Cluster) Handler(svc *service.Service, local http.Handler) http.Handler
 	return p
 }
 
-// ServeHTTP pins internal requests to this node before any routing runs.
+// ServeHTTP pins peer requests to this node before any routing runs: a
+// request whose internal header passes peer authorization is served
+// locally, once — never proxied onward, so two shards with momentarily
+// different liveness views can never bounce it between them — and one
+// whose header fails is rejected with 403 rather than routed, so a
+// forged header cannot select its own placement. The /internal/
+// endpoints authorize through requirePeer instead.
 func (p *proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mux.ServeHTTP(w, r)
+	if r.Header.Get(internalHeader) == "" || strings.HasPrefix(r.URL.Path, "/internal/") {
+		p.mux.ServeHTTP(w, r)
+		return
+	}
+	if err := p.c.authorizePeer(r); err != nil {
+		writeJSONError(w, http.StatusForbidden, err)
+		return
+	}
+	p.local.ServeHTTP(w, r)
 }
 
 // requirePeer gates a cluster-internal endpoint on peer credentials:
@@ -93,25 +109,6 @@ func (p *proxy) requirePeer(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
-}
-
-// handleInternal intercepts requests carrying the internal header before
-// any routing runs. A request forwarded by an authorized peer is pinned
-// to this node (served locally, never proxied onward — two shards with
-// momentarily different liveness views can never bounce a request
-// between them); a request whose header fails peer authorization is
-// rejected outright rather than routed, so a forged header cannot
-// select its own placement. Returns true when the request was consumed.
-func (p *proxy) handleInternal(w http.ResponseWriter, r *http.Request) bool {
-	if r.Header.Get(internalHeader) == "" {
-		return false
-	}
-	if err := p.c.authorizePeer(r); err != nil {
-		writeJSONError(w, http.StatusForbidden, err)
-		return true
-	}
-	p.local.ServeHTTP(w, r)
-	return true
 }
 
 // readBody buffers a routed request's body (routing has to inspect it,
@@ -221,7 +218,6 @@ func (p *proxy) routeByKey(w http.ResponseWriter, r *http.Request, body []byte, 
 // routeBody is the routing envelope of a compute/job body: enough to
 // find the owning shard without touching the rest of the request.
 type routeBody struct {
-	Kind  string            `json:"kind"`
 	Hash  string            `json:"hash"`
 	Graph *graphio.Document `json:"graph"`
 }
@@ -246,11 +242,9 @@ func routingKey(body []byte) (string, error) {
 	return graphio.Hash(g), nil
 }
 
-// compute routes POST /v1/decompose and /v1/carve by graph hash.
+// compute routes the compute endpoints (/v1/decompose, /v1/carve,
+// /v2/apps/{app}) and job submissions by graph hash.
 func (p *proxy) compute(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -266,9 +260,6 @@ func (p *proxy) compute(w http.ResponseWriter, r *http.Request) {
 // putGraph routes POST /v1/graphs: the body is parsed once to learn the
 // content hash (the routing key), then relayed verbatim to the owner.
 func (p *proxy) putGraph(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
 	format := graphio.FormatJSON
 	if name := r.URL.Query().Get("format"); name != "" {
 		var err error
@@ -291,9 +282,6 @@ func (p *proxy) putGraph(w http.ResponseWriter, r *http.Request) {
 
 // byHashPath routes GET /v1/graphs/{hash} by its path hash.
 func (p *proxy) byHashPath(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
 	// Serve locally when this shard holds the graph (replica or cached
 	// copy) even if the ring points elsewhere — cheaper than a hop.
 	hash := r.PathValue("hash")
@@ -305,125 +293,27 @@ func (p *proxy) byHashPath(w http.ResponseWriter, r *http.Request) {
 	p.routeByKey(w, r, nil, hash)
 }
 
-// teeWriter captures a bounded copy of the response while relaying it —
-// how the proxy learns job IDs from submissions it routes.
-type teeWriter struct {
-	http.ResponseWriter
-	status int
-	buf    bytes.Buffer
-}
-
-// teeCapBytes bounds the captured copy; job submissions answer with a
-// small JSON document.
-const teeCapBytes = 1 << 16
-
-// WriteHeader records the status before relaying it.
-func (t *teeWriter) WriteHeader(code int) {
-	t.status = code
-	t.ResponseWriter.WriteHeader(code)
-}
-
-// Write mirrors the body into the bounded buffer while relaying it.
-func (t *teeWriter) Write(b []byte) (int, error) {
-	if t.status == 0 {
-		t.status = http.StatusOK
-	}
-	if t.buf.Len() < teeCapBytes {
-		t.buf.Write(b[:min(len(b), teeCapBytes-t.buf.Len())])
-	}
-	return t.ResponseWriter.Write(b)
-}
-
-// Flush forwards flushes so streaming through a tee still streams.
-func (t *teeWriter) Flush() {
-	if flusher, ok := t.ResponseWriter.(http.Flusher); ok {
-		flusher.Flush()
-	}
-}
-
-// submitJob routes POST /v2/jobs like a compute request, then records
-// which shard accepted the job so polls route directly.
-func (p *proxy) submitJob(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	key, err := routingKey(body)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	owner, ok := p.c.ring.OwnerAmong(key, p.c.alive)
-	tee := &teeWriter{ResponseWriter: w}
-	p.routeByKey(tee, r, body, key)
-	if tee.status == http.StatusAccepted && ok {
-		var job struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(tee.buf.Bytes(), &job) == nil {
-			// The routing loop may have rerouted past a dead owner; the
-			// live owner at route time is what the loop resolved first,
-			// so re-resolve for the record.
-			if m, ok := p.c.ring.OwnerAmong(key, p.c.alive); ok {
-				owner = m
-			}
-			p.c.recordJobOwner(job.ID, owner.ID)
-		}
-	}
-}
-
-// jobByID routes GET/DELETE /v2/jobs/{id} and the result endpoint. Job
-// IDs are random (not ring-placed), so routing uses the owner table
-// learned at submission and falls back to asking every live peer.
+// jobByID routes GET/DELETE /v2/jobs/{id} and the result endpoint by
+// the shard its ID names (httpapi.JobShard): this shard's jobs and IDs
+// no member minted are served locally (the local handler renders the
+// canonical 404 for the latter); a peer's job is forwarded to that peer
+// alone, and answers 502 when it is down — no other shard holds it.
 func (p *proxy) jobByID(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
-	id := r.PathValue("id")
-	if _, err := p.svc.Job(id); err == nil {
+	shard, _ := httpapi.JobShard(r.PathValue("id"))
+	owner, ok := p.c.ring.Member(shard)
+	if !ok || owner.ID == p.c.self.ID {
 		p.c.servedLocal.Add(1)
 		p.local.ServeHTTP(w, r)
 		return
 	}
-	if owner, ok := p.c.jobOwner(id); ok && owner.ID != p.c.self.ID && p.c.alive(owner.ID) {
+	if p.c.alive(owner.ID) {
 		if err := p.forward(w, r, nil, owner); err == nil {
 			return
 		}
 		p.c.markDown(owner.ID)
 	}
-	// Fan out: first peer that recognizes the ID answers.
-	p.c.fanoutJobLookups.Add(1)
-	for _, m := range p.c.liveMembers() {
-		if m.ID == p.c.self.ID {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, m.URL+r.URL.RequestURI(), nil)
-		if err != nil {
-			continue
-		}
-		p.c.setPeerAuth(req.Header)
-		obs.InjectTrace(r.Context(), req.Header)
-		resp, err := p.c.proxyClient.Do(req)
-		if err != nil {
-			p.c.markDown(m.ID)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		p.c.proxied.Add(1)
-		p.c.recordJobOwner(id, m.ID)
-		copyResponse(w, resp)
-		resp.Body.Close()
-		return
-	}
-	// Nobody knows the job: the local handler renders the canonical 404.
-	p.local.ServeHTTP(w, r)
+	p.c.proxyErrors.Add(1)
+	writeJSONError(w, http.StatusBadGateway, fmt.Errorf("shard %s holding job %s is unreachable", owner.ID, r.PathValue("id")))
 }
 
 // batchWire mirrors the API layer's batch request/response shapes
@@ -443,9 +333,6 @@ type batchResultsWire struct {
 // owners, and the merged response preserves input order. A dead shard
 // fails only its own items.
 func (p *proxy) batch(w http.ResponseWriter, r *http.Request) {
-	if p.handleInternal(w, r) {
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -527,14 +414,14 @@ func (p *proxy) runSubBatch(r *http.Request, m Member, items []json.RawMessage, 
 		p.c.servedLocal.Add(1)
 		p.local.ServeHTTP(rec, r2)
 		if rec.status != http.StatusOK {
-			return p.errorItems(indices, fmt.Errorf("local sub-batch failed with status %d", rec.status))
+			return errorItems(indices, fmt.Errorf("local sub-batch failed with status %d", rec.status))
 		}
 		data = rec.buf.Bytes()
 	} else {
 		p.c.fanoutBatches.Add(1)
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, m.URL+"/v1/decompose/batch", bytes.NewReader(body))
 		if err != nil {
-			return p.errorItems(indices, err)
+			return errorItems(indices, err)
 		}
 		req.Header.Set("Content-Type", "application/json")
 		p.c.setPeerAuth(req.Header)
@@ -542,23 +429,23 @@ func (p *proxy) runSubBatch(r *http.Request, m Member, items []json.RawMessage, 
 		resp, err := p.c.proxyClient.Do(req)
 		if err != nil {
 			p.c.markDown(m.ID)
-			return p.errorItems(indices, fmt.Errorf("shard %s unreachable: %w", m.ID, err))
+			return errorItems(indices, fmt.Errorf("shard %s unreachable: %w", m.ID, err))
 		}
 		data, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBodyBytes))
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			return p.errorItems(indices, fmt.Errorf("shard %s sub-batch failed (status %d)", m.ID, resp.StatusCode))
+			return errorItems(indices, fmt.Errorf("shard %s sub-batch failed (status %d)", m.ID, resp.StatusCode))
 		}
 	}
 	var out batchResultsWire
 	if err := json.Unmarshal(data, &out); err != nil {
-		return p.errorItems(indices, fmt.Errorf("undecodable sub-batch response: %w", err))
+		return errorItems(indices, fmt.Errorf("undecodable sub-batch response: %w", err))
 	}
 	return out.Results
 }
 
 // errorItems renders one error into a result slot per index.
-func (p *proxy) errorItems(indices []int, err error) []json.RawMessage {
+func errorItems(indices []int, err error) []json.RawMessage {
 	out := make([]json.RawMessage, len(indices))
 	for i := range out {
 		out[i] = errorItem(err)
