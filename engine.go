@@ -9,14 +9,14 @@ import (
 	"time"
 
 	"strongdecomp/internal/cluster"
-	"strongdecomp/internal/graph"
+	"strongdecomp/internal/core"
 	"strongdecomp/internal/obs"
 	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
 // Engine executes decompositions at scale: it owns a worker pool and a
-// sync.Pool of per-run scratch buffers, decomposes the connected components
+// free list of per-worker scratch buffers, decomposes the connected components
 // of a graph concurrently, and batches runs over many graphs. All methods
 // honor context cancellation and deadlines (returning errors matching
 // ErrCanceled) and are safe for concurrent use from multiple goroutines —
@@ -33,7 +33,7 @@ type Engine struct {
 	algo    string
 	workers int
 
-	scratch sync.Pool // *graph.Scratch
+	scratch chan *core.Scratch // free list, at most workers entries
 
 	runs        atomic.Int64
 	batches     atomic.Int64
@@ -42,10 +42,47 @@ type Engine struct {
 	maxParallel atomic.Int64
 }
 
-// The engine's scratch pool holds *graph.Scratch values: stamped visit
-// marks, BFS queue, and subgraph remap buffers shared by the component
-// split and the per-component InducedSubgraph calls. Buffers only grow, so
-// a shrink-then-grow sequence of graph sizes never discards grown capacity.
+// A unit task's working state is a core.Scratch: its graph.Scratch
+// stamps serve the component split and the per-component InducedSubgraph
+// remaps, and the rest holds the Theorem 2.1/2.3 lists. Its buffers only
+// grow, so a shrink-then-grow sequence of graph sizes never discards
+// grown capacity.
+//
+// The engine keeps them on a free list of at most workers entries, not in
+// a sync.Pool, so it retains a bounded number and a task's reuse does not
+// depend on when the collector last ran. A task that finds the list empty
+// (more concurrent Run calls than workers) builds its own, and the list
+// keeps it only if there is room.
+
+// maxRetainedNodes caps the graphs whose scratch goes back on the free
+// list. A kept scratch holds 50–70 B per node of the largest graph it
+// served, for the life of the engine. The cap sits just above the largest
+// graph the benchmark runs (40,000 nodes), so at most ~4.5 MB stays
+// pinned per worker; a scratch that served anything larger is left to the
+// garbage collector.
+const maxRetainedNodes = 1 << 16
+
+// getScratch takes a scratch off the free list, or builds one.
+func (e *Engine) getScratch() *core.Scratch {
+	select {
+	case s := <-e.scratch:
+		return s
+	default:
+		return core.NewScratch()
+	}
+}
+
+// putScratch returns s to the free list if it has room and s is not
+// oversized.
+func (e *Engine) putScratch(s *core.Scratch) {
+	if s.Nodes() > maxRetainedNodes {
+		return
+	}
+	select {
+	case e.scratch <- s:
+	default:
+	}
+}
 
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
@@ -79,7 +116,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	if e.workers < 1 {
 		e.workers = 1
 	}
-	e.scratch.New = func() any { return graph.NewScratch() }
+	e.scratch = make(chan *core.Scratch, e.workers)
 	return e
 }
 
@@ -241,7 +278,15 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 	if len(comps) <= 1 {
 		e.runs.Add(1)
 		// Single component (or explicit node subset): nothing to fan out,
-		// so the construction runs on the calling goroutine.
+		// so the construction runs on the calling goroutine. Without a
+		// node subset, g is the one component the split just found.
+		var connected *Graph
+		if p.Nodes == nil {
+			connected = g
+		}
+		ws := e.getScratch()
+		defer e.putScratch(ws)
+		ctx = core.WithScratch(ctx, ws, connected)
 		c, err := d.Carve(ctx, g, p.Eps, &RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
 		sc.mark("carve-rounds")
 		return c, err
@@ -252,7 +297,10 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 	meters := make([]*rounds.Meter, len(comps))
 	err = e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
 		e.runs.Add(1)
-		sub, nodeOf := e.inducedSubgraph(g, comps[i])
+		ws := e.getScratch()
+		defer e.putScratch(ws)
+		sub, nodeOf := ws.InducedSubgraph(g, comps[i])
+		ctx = core.WithScratch(ctx, ws, sub)
 		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
 		c, err := d.Carve(ctx, sub, p.Eps, ro)
 		if err != nil {
@@ -328,6 +376,10 @@ func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *ro
 	sc.mark("split")
 	if len(comps) <= 1 {
 		e.runs.Add(1)
+		// g is the one component the split just found.
+		ws := e.getScratch()
+		defer e.putScratch(ws)
+		ctx = core.WithScratch(ctx, ws, g)
 		dec, err := d.Decompose(ctx, g, &RunOptions{Seed: p.Seed, Meter: dst})
 		sc.mark("carve-rounds")
 		return dec, err
@@ -338,7 +390,10 @@ func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *ro
 	meters := make([]*rounds.Meter, len(comps))
 	runOne := func(ctx context.Context, i int) error {
 		e.runs.Add(1)
-		sub, nodeOf := e.inducedSubgraph(g, comps[i])
+		ws := e.getScratch()
+		defer e.putScratch(ws)
+		sub, nodeOf := ws.InducedSubgraph(g, comps[i])
+		ctx = core.WithScratch(ctx, ws, sub)
 		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
 		dec, err := d.Decompose(ctx, sub, ro)
 		if err != nil {
@@ -427,19 +482,11 @@ feed:
 }
 
 // components returns the connected components of g (members in BFS
-// discovery order) using pooled scratch buffers, so steady-state engine
-// traffic does not reallocate BFS state.
+// discovery order) through a scratch from the engine's free list; only the
+// component slices are allocated once the list holds a scratch grown to
+// g's size.
 func (e *Engine) components(g *Graph) [][]int {
-	s := e.scratch.Get().(*graph.Scratch)
-	defer e.scratch.Put(s)
+	s := e.getScratch()
+	defer e.putScratch(s)
 	return s.Components(g, nil)
-}
-
-// inducedSubgraph is graph.InducedSubgraph through the engine's scratch
-// pool: the remap and membership buffers are recycled across runs and
-// workers instead of being reallocated per component.
-func (e *Engine) inducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
-	s := e.scratch.Get().(*graph.Scratch)
-	defer e.scratch.Put(s)
-	return s.InducedSubgraph(g, nodes)
 }

@@ -149,9 +149,35 @@ type Carving struct {
 }
 
 // Members returns per-cluster sorted member lists.
-func (c *Carving) Members() [][]int {
-	members := make([][]int, c.K)
-	for v, cl := range c.Assign {
+func (c *Carving) Members() [][]int { return members(c.Assign, c.K) }
+
+// members returns the ascending member lists of clusters 0..k-1 of assign
+// (Unclustered nodes belong to none). A counting pass sizes one slab for
+// all of them; each list is a capacity-capped window of it, so appending
+// to one list reallocates it rather than overwriting the next. Empty
+// clusters get nil.
+func members(assign []int, k int) [][]int {
+	members := make([][]int, k)
+	ends := make([]int, k)
+	for _, cl := range assign {
+		if cl != Unclustered {
+			ends[cl]++
+		}
+	}
+	total := 0
+	for cl, size := range ends {
+		total += size
+		ends[cl] = total
+	}
+	slab := make([]int, total)
+	start := 0
+	for cl, end := range ends {
+		if end > start {
+			members[cl] = slab[start:start:end]
+		}
+		start = end
+	}
+	for v, cl := range assign {
 		if cl != Unclustered {
 			members[cl] = append(members[cl], v)
 		}
@@ -199,10 +225,4 @@ type Decomposition struct {
 func (d *Decomposition) NodeColor(v int) int { return d.Color[d.Assign[v]] }
 
 // Members returns per-cluster sorted member lists.
-func (d *Decomposition) Members() [][]int {
-	members := make([][]int, d.K)
-	for v, cl := range d.Assign {
-		members[cl] = append(members[cl], v)
-	}
-	return members
-}
+func (d *Decomposition) Members() [][]int { return members(d.Assign, d.K) }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"strongdecomp/internal/graph"
@@ -109,6 +110,38 @@ func TestCarvingMembersAndDeadFraction(t *testing.T) {
 	}
 	if f := c.DeadFraction([]int{}); f != 0 {
 		t.Fatalf("empty-set dead fraction %f", f)
+	}
+}
+
+// TestMembersListsAreIndependent pins the slab layout of Members: every
+// list is exact-size and ascending, an empty cluster gets nil, and
+// appending to one cluster's list never writes into the next one's.
+func TestMembersListsAreIndependent(t *testing.T) {
+	c := &Carving{Assign: []int{1, 0, Unclustered, 0, 1, 3, 0}, K: 4}
+	d := &Decomposition{Assign: []int{1, 0, 2, 0, 1, 2, 0}, K: 3}
+	for name, tc := range map[string]struct {
+		members [][]int
+		want    [][]int
+	}{
+		"carving":       {c.Members(), [][]int{{1, 3, 6}, {0, 4}, nil, {5}}},
+		"decomposition": {d.Members(), [][]int{{1, 3, 6}, {0, 4}, {2, 5}}},
+	} {
+		ms := tc.members
+		if !slices.EqualFunc(ms, tc.want, slices.Equal[[]int]) {
+			t.Fatalf("%s: members %v, want %v", name, ms, tc.want)
+		}
+		for cl, list := range ms {
+			if cap(list) != len(list) {
+				t.Fatalf("%s: cluster %d has capacity %d for %d members", name, cl, cap(list), len(list))
+			}
+		}
+		if name == "carving" && ms[2] != nil {
+			t.Fatalf("%s: empty cluster got %v, want nil", name, ms[2])
+		}
+		ms[0] = append(ms[0], 99)
+		if !slices.Equal(ms[1], tc.want[1]) {
+			t.Fatalf("%s: appending to cluster 0 changed cluster 1 to %v", name, ms[1])
+		}
 	}
 }
 

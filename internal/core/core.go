@@ -73,6 +73,11 @@ func (co *collector) emit(members []int, center int) {
 	for _, v := range members {
 		co.assign[v] = co.k
 	}
+	co.close(center)
+}
+
+// close ends cluster co.k, whose members the caller has assigned.
+func (co *collector) close(center int) {
 	co.centers = append(co.centers, center)
 	co.k++
 }
@@ -102,6 +107,13 @@ func StrongCarve(g *graph.Graph, nodes []int, eps float64, weak WeakCarver, m *r
 // StrongCarveContext is StrongCarve with cancellation: the context is
 // checked before every component task, so a canceled run stops within one
 // weak-carver invocation and returns registry.ErrCanceled.
+//
+// The loop's working state comes from the Scratch ctx carries (see
+// WithScratch), and every pass over a component touches only that
+// component, so a task costs O(|S| + vol(S)) beyond the weak carver.
+// Components are processed one iteration at a time: the tasks of
+// iteration i are disjoint subsets of the carved set, as are their
+// survivor components, which form the tasks of iteration i+1.
 func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, weak WeakCarver, m *rounds.Meter) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("core: eps %v outside (0, 1]", eps)
@@ -118,128 +130,130 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 	iterLimit := log2ceil(total) + 1
 	epsWeak := eps / (2 * float64(log2ceil(total)))
 	window := shellWindow(total, eps)
+	congestion := log2ceil(g.N())
 
-	alive := make([]bool, g.N())
-	for _, v := range nodes {
-		alive[v] = true
+	sc, connected := scratchOf(ctx)
+	if sc == nil {
+		sc = NewScratch()
+	}
+	set := sortedSet(nodes)
+	cur, next := sc.startLevels()
+	if connected == g && len(set) == g.N() {
+		// The caller already split g: all of it is one component.
+		cur.comps = append(cur.comps, set)
+	} else {
+		sc.MarkSet(g.N(), set)
+		sc.splitInto(g, set, cur)
 	}
 
-	type task struct {
-		comp []int
-		iter int
-	}
-	var queue []task
-	for _, comp := range graph.Components(g, maskOf(g.N(), nodes)) {
-		queue = append(queue, task{comp: comp, iter: 1})
-	}
+	for iter := 1; len(cur.comps) > 0; iter++ {
+		for _, s := range cur.comps {
+			if err := registry.CtxErr(ctx); err != nil {
+				return nil, err
+			}
+			if len(s) == 1 || iter > iterLimit {
+				// A component above iterLimit is unreachable by the
+				// halving invariant; emit it whole so the output stays a
+				// valid clustering.
+				co.emit(s, s[0])
+				continue
+			}
 
-	dist := make([]int, g.N())
-	for len(queue) > 0 {
-		if err := registry.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		t := queue[0]
-		queue = queue[1:]
-		s := t.comp
-		if len(s) == 0 {
-			continue
-		}
-		if len(s) == 1 {
-			co.emit(s, s[0])
-			continue
-		}
-		if t.iter > iterLimit {
-			// Unreachable by the halving invariant; emit the component
-			// whole so the output stays a valid clustering.
-			co.emit(s, s[0])
-			continue
-		}
+			weakCarving, err := weak(g, s, epsWeak, m)
+			if err != nil {
+				return nil, fmt.Errorf("core: weak carver: %w", err)
+			}
+			sizes := sc.clusterSizes(weakCarving, s)
 
-		weakCarving, err := weak(g, s, epsWeak, m)
-		if err != nil {
-			return nil, fmt.Errorf("core: weak carver: %w", err)
-		}
-		members := weakCarving.Members()
-
-		// Information gathering over Steiner trees to find cluster sizes:
-		// depth x congestion rounds.
-		maxDepth := 0
-		for cl := range members {
-			if tr := weakCarving.Trees[cl]; tr != nil {
-				if d := tr.Depth(); d > maxDepth {
-					maxDepth = d
+			// Information gathering over Steiner trees to find cluster
+			// sizes: depth x congestion rounds.
+			maxDepth := 0
+			for cl := range sizes {
+				if tr := weakCarving.Trees[cl]; tr != nil {
+					d, _ := sc.treeDepth(tr, nil, cl)
+					maxDepth = max(maxDepth, d)
 				}
 			}
-		}
-		congestion := log2ceil(g.N())
-		m.Charge("thm21/gather", int64(maxDepth+1)*int64(congestion))
+			m.Charge("thm21/gather", int64(maxDepth+1)*int64(congestion))
 
-		threshold := float64(total) / math.Exp2(float64(t.iter))
-		giant := -1
-		for cl, ms := range members {
-			if float64(len(ms)) > threshold {
-				giant = cl
-				break
+			threshold := float64(total) / math.Exp2(float64(iter))
+			giant := -1
+			for cl, size := range sizes {
+				if float64(size) > threshold {
+					giant = cl
+					break
+				}
 			}
-		}
 
-		sMask := maskOf(g.N(), s)
-		if giant < 0 {
-			// Case (I): commit A's removals; recurse on survivor components.
+			if giant < 0 {
+				// Case (I): commit A's removals; recurse on survivor
+				// components.
+				sc.BeginSet(g.N())
+				for _, v := range s {
+					if weakCarving.Assign[v] != cluster.Unclustered {
+						sc.Add(v)
+					}
+				}
+				sc.splitInto(g, s, next)
+				continue
+			}
+
+			// Case (II): grow a ball from the giant cluster's tree root
+			// inside G[S]; A's removals are NOT committed (the ball may
+			// swallow them).
+			root := weakCarving.Centers[giant]
+			_, depthR := sc.treeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
+			sc.MarkSet(g.N(), s)
+			layers := sc.Layers(g, []int{root})
+			maxLayer := len(layers) - 1
+			rStart := min(depthR, maxLayer)
+			rStar := rStart
+			for r := rStart; r < maxLayer && r < rStart+window; r++ {
+				if float64(layers[r]) >= (1-eps/2)*float64(sizeAt(layers, r+1)) {
+					rStar = r
+					break
+				}
+				rStar = r + 1
+			}
+			m.Charge("thm21/bfs", int64(rStar)+2)
+
+			// The ball is emitted, its shell dies, and the rest survives.
+			sc.BeginSet(g.N())
+			survivors := 0
 			for _, v := range s {
-				if weakCarving.Assign[v] == cluster.Unclustered {
-					sMask[v] = false
-					alive[v] = false
+				switch d := sc.Val(v); {
+				case sc.Reached(v) && d <= rStar:
+					co.assign[v] = co.k
+				case sc.Reached(v) && d == rStar+1:
+				default:
+					sc.Add(v)
+					survivors++
 				}
 			}
-			for _, comp := range graph.Components(g, sMask) {
-				queue = append(queue, task{comp: comp, iter: t.iter + 1})
-			}
-			continue
-		}
-
-		// Case (II): grow a ball from the giant cluster's tree root inside
-		// G[S]; A's removals are NOT committed (the ball may swallow them).
-		root := weakCarving.Centers[giant]
-		depthR := memberTreeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
-		sizes := graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
-		maxLayer := len(sizes) - 1
-		rStart := depthR
-		if rStart > maxLayer {
-			rStart = maxLayer
-		}
-		rStar := rStart
-		for r := rStart; r < maxLayer && r < rStart+window; r++ {
-			if float64(sizes[r]) >= (1-eps/2)*float64(sizeAt(sizes, r+1)) {
-				rStar = r
-				break
-			}
-			rStar = r + 1
-		}
-		m.Charge("thm21/bfs", int64(rStar)+2)
-
-		var ball, shell []int
-		for _, v := range s {
-			switch {
-			case dist[v] >= 0 && dist[v] <= rStar:
-				ball = append(ball, v)
-			case dist[v] == rStar+1:
-				shell = append(shell, v)
+			co.close(root)
+			if survivors > 0 {
+				sc.splitInto(g, s, next)
 			}
 		}
-		co.emit(ball, root)
-		for _, v := range ball {
-			sMask[v] = false
-		}
-		for _, v := range shell {
-			sMask[v] = false
-			alive[v] = false
-		}
-		for _, comp := range graph.Components(g, sMask) {
-			queue = append(queue, task{comp: comp, iter: t.iter + 1})
-		}
+		cur, next = next, cur
+		next.slab, next.comps = next.slab[:0], next.comps[:0]
 	}
 	return co.carving(), nil
+}
+
+// clusterSizes counts the members of each of c's clusters within s, where
+// a carving of s places all of its clustered nodes. The result aliases the
+// scratch.
+func (sc *Scratch) clusterSizes(c *cluster.Carving, s []int) []int {
+	sizes := resize(sc.counts, c.K)
+	clear(sizes)
+	for _, v := range s {
+		if cl := c.Assign[v]; cl != cluster.Unclustered {
+			sizes[cl]++
+		}
+	}
+	sc.counts = sizes[:0]
+	return sizes
 }
 
 // CarveRG is Theorem 2.2: StrongCarve instantiated with the deterministic
@@ -263,8 +277,11 @@ func Decompose(g *graph.Graph, carver StrongCarver, m *rounds.Meter) (*cluster.D
 }
 
 // DecomposeContext is the context-aware reduction: cancellation is observed
-// before every color iteration and inside context-aware carvers.
+// before every color iteration and inside context-aware carvers. The
+// uncolored nodes are kept in the Scratch ctx carries (see WithScratch),
+// which the carver shares.
 func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarver, m *rounds.Meter) (*cluster.Decomposition, error) {
+	ctx, sc := withScratch(ctx)
 	n := g.N()
 	assign := make([]int, n)
 	for i := range assign {
@@ -275,7 +292,10 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarve
 		centers []int
 		k       int
 	)
-	remaining := allNodes(n)
+	remaining, rest := resize(sc.rest[0], n), sc.rest[1][:0]
+	for v := range remaining {
+		remaining[v] = v
+	}
 	for iter := 0; len(remaining) > 0; iter++ {
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
@@ -287,28 +307,41 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarve
 		if err != nil {
 			return nil, err
 		}
-		for i, members := range c.Members() {
-			for _, v := range members {
-				assign[v] = k
-			}
+		// A carving of the remaining nodes clusters only remaining
+		// nodes, so one ascending pass over them numbers every cluster
+		// and finds the smallest member, the center of a carving that
+		// reports none.
+		hasCenters := len(c.Centers) == c.K
+		base := len(centers)
+		for i := 0; i < c.K; i++ {
 			color = append(color, iter)
-			center := i
-			if len(c.Centers) == c.K {
-				center = c.Centers[i]
-			} else if len(members) > 0 {
-				center = members[0]
+			if hasCenters {
+				centers = append(centers, c.Centers[i])
+			} else {
+				centers = append(centers, -1)
 			}
-			centers = append(centers, center)
-			k++
 		}
-		var rest []int
+		rest = rest[:0]
 		for _, v := range remaining {
-			if assign[v] == cluster.Unclustered {
+			cl := c.Assign[v]
+			if cl == cluster.Unclustered {
 				rest = append(rest, v)
+				continue
+			}
+			assign[v] = k + cl
+			if centers[base+cl] < 0 {
+				centers[base+cl] = v
 			}
 		}
-		remaining = rest
+		for i := base; i < len(centers); i++ {
+			if centers[i] < 0 { // an empty cluster
+				centers[i] = i - base
+			}
+		}
+		k += c.K
+		remaining, rest = rest, remaining
 	}
+	sc.rest[0], sc.rest[1] = remaining[:0], rest[:0]
 	colors := 0
 	for _, col := range color {
 		if col+1 > colors {
@@ -327,24 +360,6 @@ func DecomposeRG(g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error
 // DecomposeRGContext is DecomposeRG with cancellation support.
 func DecomposeRGContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
 	return DecomposeContext(ctx, g, CarveRGContext, m)
-}
-
-// memberTreeDepth returns the maximum depth in cluster cl's tree t over
-// the tree nodes that assign places in cl (relay-only nodes deeper than
-// every member do not matter for covering the cluster).
-func memberTreeDepth(t *cluster.Tree, assign []int, cl int) int {
-	if t == nil || len(t.Nodes) <= 1 {
-		return 0
-	}
-	depth := make([]int, len(t.Nodes))
-	max := 0
-	for i := 1; i < len(t.Nodes); i++ {
-		depth[i] = depth[t.Parent[i]] + 1
-		if assign[t.Nodes[i]] == cl && depth[i] > max {
-			max = depth[i]
-		}
-	}
-	return max
 }
 
 // shellWindow returns the number of radius growth steps that guarantees a

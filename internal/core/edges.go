@@ -99,6 +99,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 		queue = append(queue, task{comp: comp, iter: 1})
 	}
 	dist := make([]int, g.N())
+	var sc Scratch // for treeDepth, which needs no host-sized state
 
 	for len(queue) > 0 {
 		if err := registry.CtxErr(ctx); err != nil {
@@ -164,7 +165,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 		// Giant cluster: ball-grow from its tree root in the remaining
 		// subgraph, counting internal edges per radius.
 		root := orig[wc.Carving.Centers[giant]]
-		rootDepth := memberTreeDepth(wc.Carving.Trees[giant], wc.Carving.Assign, giant)
+		_, rootDepth := sc.treeDepth(wc.Carving.Trees[giant], wc.Carving.Assign, giant)
 		order := bfsMinusCut(g, sMask, isCut, root, dist)
 		edgeAt := cumulativeEdges(g, sMask, isCut, order, dist)
 		maxLayer := len(edgeAt) - 1

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
@@ -38,6 +38,12 @@ type CutResult struct {
 // a. When S is a single node, the thinnest layer in a window above a yields
 // the component.
 func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*CutResult, error) {
+	return NewScratch().cutOrComponent(g, nodes, eps, m)
+}
+
+// cutOrComponent is CutOrComponent on the scratch's stamped state: every
+// BFS is restricted to nodes and touches only what it reaches.
+func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*CutResult, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("core: eps %v outside (0, 1]", eps)
 	}
@@ -48,9 +54,7 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 	if nV <= 3 {
 		return &CutResult{U: append([]int(nil), nodes...)}, nil
 	}
-
-	mask := maskOf(g.N(), nodes)
-	dist := make([]int, g.N())
+	sc.MarkSet(g.N(), nodes)
 
 	// Thinness target x: shells of relative size x = eps / (2·log₂ n) match
 	// the paper's O(eps·n / log n) bounds. Window lengths guarantee a layer
@@ -58,14 +62,13 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 	x := eps / (2 * float64(log2ceil(nV)))
 	window := int(math.Ceil(math.Log(3)/x)) + 1
 
-	// Deterministic halving order: in-order of a BFS tree from the min-id
-	// node (nodes is sorted ascending by construction of Components, but do
-	// not rely on it).
-	order := inOrderPositions(g, mask, nodes)
-
-	s := append([]int(nil), nodes...)
+	// Deterministic halving order: pre-order of a BFS tree from the
+	// min-id node. S starts as all of V in that order, so each half of
+	// it is a contiguous run of the order.
+	s := sc.Preorder(g, slices.Min(nodes), sc.order[:0])
+	sc.order = s
 	for len(s) > 1 {
-		sizes := graph.NeighborhoodSizes(g, mask, s, dist)
+		sizes := sc.Layers(g, s)
 		maxLayer := len(sizes) - 1
 		a := radiusReaching(sizes, (nV+2)/3)
 		b := radiusReaching(sizes, (2*nV+2)/3)
@@ -76,10 +79,10 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 			rStar, _ := thinnestLayer(sizes, a, b-2)
 			var v1, v2, sep []int
 			for _, v := range nodes {
-				switch {
-				case dist[v] >= 0 && dist[v] <= rStar:
+				switch d := sc.Val(v); {
+				case sc.Reached(v) && d <= rStar:
 					v1 = append(v1, v)
-				case dist[v] == rStar+1:
+				case sc.Reached(v) && d == rStar+1:
 					sep = append(sep, v)
 				default:
 					v2 = append(v2, v)
@@ -90,11 +93,10 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 
 		// Narrow window: halve S, keep the half whose ball reaches |V|/3
 		// sooner.
-		s1, s2 := splitByOrder(s, order)
-		sizes1 := graph.NeighborhoodSizes(g, mask, s1, dist)
-		a1 := radiusReaching(sizes1, (nV+2)/3)
-		sizes2 := graph.NeighborhoodSizes(g, mask, s2, dist)
-		a2 := radiusReaching(sizes2, (nV+2)/3)
+		half := (len(s) + 1) / 2
+		s1, s2 := s[:half], s[half:]
+		a1 := radiusReaching(sc.Layers(g, s1), (nV+2)/3)
+		a2 := radiusReaching(sc.Layers(g, s2), (nV+2)/3)
 		m.Charge("lemma31/bfs", int64(maxLayer)+1)
 		if a1 <= a2 {
 			s = s1
@@ -104,8 +106,7 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 	}
 
 	// S = {v}: scan the window above a for the thinnest layer.
-	v := s[0]
-	sizes := graph.NeighborhoodSizes(g, mask, []int{v}, dist)
+	sizes := sc.Layers(g, s)
 	a := radiusReaching(sizes, (nV+2)/3)
 	hi := a + window
 	if hi > len(sizes)-1 {
@@ -114,19 +115,19 @@ func CutOrComponent(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (
 	rStar, _ := thinnestLayer(sizes, a, hi)
 	m.Charge("lemma31/bfs", int64(len(sizes)))
 
+	inU := func(w int) bool { return sc.Reached(w) && sc.Val(w) <= rStar }
 	var u, boundary []int
 	for _, w := range nodes {
-		if dist[w] >= 0 && dist[w] <= rStar {
+		if inU(w) {
 			u = append(u, w)
 		}
 	}
-	inU := maskOf(g.N(), u)
 	for _, w := range nodes {
-		if inU[w] {
+		if inU(w) {
 			continue
 		}
 		for _, z := range g.Neighbors(w) {
-			if inU[z] {
+			if inU(z) {
 				boundary = append(boundary, w)
 				break
 			}
@@ -160,6 +161,7 @@ func ImproveDiameterContext(ctx context.Context, g *graph.Graph, nodes []int, ep
 	if len(nodes) == 0 {
 		return co.carving(), nil
 	}
+	ctx, sc := withScratch(ctx)
 	total := len(nodes)
 	// Recursion shrinks sets by 2/3 per level.
 	levels := int(math.Ceil(math.Log(float64(total))/math.Log(1.5))) + 1
@@ -171,7 +173,7 @@ func ImproveDiameterContext(ctx context.Context, g *graph.Graph, nodes []int, ep
 		level int
 	}
 	var queue []task
-	for _, comp := range graph.Components(g, maskOf(g.N(), nodes)) {
+	for _, comp := range sc.ComponentsOf(g, sortedSet(nodes)) {
 		queue = append(queue, task{comp: comp, level: 0})
 	}
 	for len(queue) > 0 {
@@ -196,21 +198,23 @@ func ImproveDiameterContext(ctx context.Context, g *graph.Graph, nodes []int, ep
 			if len(members) == 0 {
 				continue
 			}
-			res, err := CutOrComponent(g, members, epsLemma, m)
+			res, err := sc.cutOrComponent(g, members, epsLemma, m)
 			if err != nil {
 				return nil, err
 			}
+			// Members lists, and the sides and rest cut from them in
+			// their order, are ascending, as ComponentsOf requires.
 			if res.IsCut {
 				for _, side := range [][]int{res.V1, res.V2} {
-					for _, comp := range graph.Components(g, maskOf(g.N(), side)) {
+					for _, comp := range sc.ComponentsOf(g, side) {
 						queue = append(queue, task{comp: comp, level: t.level + 1})
 					}
 				}
 				continue
 			}
 			co.emit(res.U, res.U[0])
-			rest := subtract(members, res.U, res.Boundary)
-			for _, comp := range graph.Components(g, maskOf(g.N(), rest)) {
+			rest := sc.subtract(g.N(), members, res.U, res.Boundary)
+			for _, comp := range sc.ComponentsOf(g, rest) {
 				queue = append(queue, task{comp: comp, level: t.level + 1})
 			}
 		}
@@ -277,62 +281,18 @@ func thinnestLayer(sizes []int, lo, hi int) (int, float64) {
 	return bestR, bestRatio
 }
 
-// inOrderPositions computes each node's position in the pre-order traversal
-// of a BFS tree of the masked subgraph rooted at the minimum-id node,
-// children visited in increasing id. This is the deterministic global order
-// the lemma uses for halving.
-func inOrderPositions(g *graph.Graph, mask []bool, nodes []int) map[int]int {
-	root := nodes[0]
-	for _, v := range nodes {
-		if v < root {
-			root = v
-		}
-	}
-	_, parent := graph.BFSTree(g, mask, root)
-	children := make(map[int][]int, len(nodes))
-	for _, v := range nodes {
-		if p := parent[v]; p >= 0 {
-			children[p] = append(children[p], v)
-		}
-	}
-	for _, cs := range children {
-		sort.Ints(cs)
-	}
-	pos := make(map[int]int, len(nodes))
-	stack := []int{root}
-	next := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		pos[v] = next
-		next++
-		cs := children[v]
-		for i := len(cs) - 1; i >= 0; i-- {
-			stack = append(stack, cs[i])
-		}
-	}
-	return pos
-}
-
-// splitByOrder splits s into its first and second half by traversal order.
-func splitByOrder(s []int, order map[int]int) (first, second []int) {
-	sorted := append([]int(nil), s...)
-	sort.Slice(sorted, func(i, j int) bool { return order[sorted[i]] < order[sorted[j]] })
-	half := (len(sorted) + 1) / 2
-	return sorted[:half], sorted[half:]
-}
-
 // subtract returns members minus the union of the given removal sets.
-func subtract(members []int, removals ...[]int) []int {
-	removed := make(map[int]bool)
+// n is the host graph's size.
+func (sc *Scratch) subtract(n int, members []int, removals ...[]int) []int {
+	sc.BeginSet(n)
 	for _, rs := range removals {
 		for _, v := range rs {
-			removed[v] = true
+			sc.Add(v)
 		}
 	}
 	var out []int
 	for _, v := range members {
-		if !removed[v] {
+		if !sc.Has(v) {
 			out = append(out, v)
 		}
 	}

@@ -227,7 +227,7 @@ func TestPropertyImproveDiameterOnRandomGraphs(t *testing.T) {
 }
 
 func TestSubtract(t *testing.T) {
-	got := subtract([]int{1, 2, 3, 4, 5}, []int{2}, []int{4, 5})
+	got := NewScratch().subtract(6, []int{1, 2, 3, 4, 5}, []int{2}, []int{4, 5})
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("subtract = %v", got)
 	}

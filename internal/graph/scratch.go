@@ -1,46 +1,243 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
 
 // Scratch holds the reusable per-traversal buffers (visit stamps, BFS
-// queue, subgraph remap table, distance array) that make the hot graph
+// queue, per-node values, distance array) that make the hot graph
 // operations allocation-free in steady state. A Scratch is not safe for
-// concurrent use; pool one per worker (the Engine plumbs them through its
-// sync.Pool). Buffers only ever grow — a shrink-then-grow sequence of graph
-// sizes never discards grown capacity.
+// concurrent use; keep one per worker (the Engine keeps one per worker on
+// a free list). Buffers only ever grow — a shrink-then-grow sequence of
+// graph sizes never discards grown capacity.
 //
-// Visit marks are generation stamps rather than booleans, so "clearing" the
-// visited set between calls is a single counter increment instead of an
-// O(n) memset.
+// Per-node state is generation stamps rather than booleans, so "clearing"
+// it between calls is a single counter increment instead of an O(n)
+// memset. One counter numbers both node sets and traversals: a node is in
+// the current set when its stamp is at least the set's generation, and
+// visited by the latest traversal when its stamp equals the traversal's,
+// which is larger. So a traversal restricted to a set tests a neighbour
+// with one load and touches only the nodes it reaches.
 type Scratch struct {
-	mark  []int64 // mark[v] >= gen encodes per-call node state
-	gen   int64
-	remap []int // node -> dense id, valid only while mark[v] is current
-	queue []int
-	dist  []int
+	mark []int64 // by node: set and visit generations
+	gen  int64   // latest generation handed out
+	set  int64   // current set: its members have mark >= set
+	seen int64   // latest traversal: its nodes have mark == seen
+	val  []int   // by node, where the latest call stamped it: dense id, component index, BFS distance or parent
+
+	queue  []int
+	dist   []int
+	sizes  []int // cumulative BFS layer sizes
+	counts []int // per-component counters
 }
 
 // NewScratch returns an empty Scratch; buffers are sized on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// grow ensures the stamped arrays cover n nodes and returns a fresh
-// generation pair (gen, gen+1): callers use gen for "marked" and gen+1 for
-// "marked and visited". Newly grown regions are zero, which never matches a
-// live generation because gen starts above zero and only increases.
-func (s *Scratch) grow(n int) int64 {
-	if len(s.mark) < n {
-		mark := make([]int64, n)
-		copy(mark, s.mark)
-		s.mark = mark
-		remap := make([]int, n)
-		copy(remap, s.remap)
-		s.remap = remap
+// Nodes returns the number of nodes the per-node buffers cover: the
+// largest graph s has served.
+func (s *Scratch) Nodes() int { return len(s.mark) }
+
+// size ensures the per-node arrays cover n nodes. Newly grown regions are
+// zero, older than every generation, and the nodes of the current set and
+// traversal keep their stamps.
+func (s *Scratch) size(n int) {
+	if len(s.mark) >= n {
+		return
 	}
-	s.gen += 2
-	return s.gen
+	mark := make([]int64, n)
+	copy(mark, s.mark)
+	s.mark = mark
+	val := make([]int, n)
+	copy(val, s.val)
+	s.val = val
+}
+
+// visit starts a traversal and returns its generation.
+func (s *Scratch) visit() int64 {
+	s.gen++
+	s.seen = s.gen
+	return s.seen
+}
+
+// visitAll starts a traversal of an n-node graph that is not restricted
+// to a set. It ends the current set, which the traversal's stamps would
+// otherwise join.
+func (s *Scratch) visitAll(n int) int64 {
+	s.size(n)
+	s.set = math.MaxInt64
+	return s.visit()
+}
+
+// BeginSet starts a new, empty node set of an n-node graph; Add puts
+// nodes in it. Layers, SplitSet and Preorder traverse only the current
+// set, and every other method of s replaces or ends it. Reached and Val
+// keep answering for the latest traversal, except for nodes added since.
+func (s *Scratch) BeginSet(n int) {
+	s.size(n)
+	s.gen++
+	s.set = s.gen
+}
+
+// Add puts v in the current set.
+func (s *Scratch) Add(v int) { s.mark[v] = s.set }
+
+// MarkSet starts a new set of an n-node graph holding the nodes of set.
+func (s *Scratch) MarkSet(n int, set []int) {
+	s.BeginSet(n)
+	for _, v := range set {
+		s.mark[v] = s.set
+	}
+}
+
+// Has reports whether v is in the current set.
+func (s *Scratch) Has(v int) bool { return s.mark[v] >= s.set }
+
+// Reached reports whether the latest traversal visited v.
+func (s *Scratch) Reached(v int) bool { return s.mark[v] == s.seen }
+
+// Val returns what the latest traversal recorded for a node it reached:
+// the BFS distance after Layers, the component index after SplitSet.
+func (s *Scratch) Val(v int) int { return s.val[v] }
+
+// Layers runs a multi-source BFS from srcs inside the current set and
+// returns the cumulative layer sizes: sizes[r] is the number of members
+// within distance r of srcs (nil if no source is a member). Val gives the
+// distance of each node reached. The result aliases the scratch and is
+// valid until the next call.
+func (s *Scratch) Layers(g *Graph, srcs []int) []int {
+	in, seen := s.set, s.visit()
+	q := s.queue[:0]
+	for _, v := range srcs {
+		if st := s.mark[v]; st >= in && st != seen {
+			s.mark[v], s.val[v] = seen, 0
+			q = append(q, v)
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		d := s.val[u] + 1
+		for _, w := range g.Neighbors(u) {
+			if st := s.mark[w]; st >= in && st != seen {
+				s.mark[w], s.val[w] = seen, d
+				q = append(q, w)
+			}
+		}
+	}
+	s.queue = q[:0]
+	if len(q) == 0 {
+		return nil
+	}
+	sizes := s.sizes[:0]
+	sizes = append(sizes, make([]int, s.val[q[len(q)-1]]+1)...)
+	for _, v := range q {
+		sizes[s.val[v]]++
+	}
+	for r := 1; r < len(sizes); r++ {
+		sizes[r] += sizes[r-1]
+	}
+	s.sizes = sizes
+	return sizes
+}
+
+// SplitSet appends to comps the connected components of the current set,
+// whose members must all lie in the ascending node list set. Components
+// are ordered by smallest node and their members ascend, the order of the
+// package-level Components. The members are appended to dst, and each
+// component is a capacity-capped window of it, so appending to one never
+// overwrites the next. Val gives each member's component index.
+func (s *Scratch) SplitSet(g *Graph, set, dst []int, comps [][]int) ([]int, [][]int) {
+	in, seen := s.set, s.visit()
+	counts := s.counts[:0]
+	q := s.queue[:0]
+	for _, v := range set {
+		if st := s.mark[v]; st < in || st == seen {
+			continue
+		}
+		ci, start := len(counts), len(q)
+		s.mark[v], s.val[v] = seen, ci
+		q = append(q, v)
+		for head := start; head < len(q); head++ {
+			for _, w := range g.Neighbors(q[head]) {
+				if st := s.mark[w]; st >= in && st != seen {
+					s.mark[w], s.val[w] = seen, ci
+					q = append(q, w)
+				}
+			}
+		}
+		counts = append(counts, len(q)-start)
+	}
+	s.queue = q[:0]
+	// One ascending pass places every member: counts turn into write
+	// offsets, then into the components' ends.
+	base := len(dst)
+	dst = slices.Grow(dst, len(q))[:base+len(q)]
+	off := base
+	for i, c := range counts {
+		counts[i] = off
+		off += c
+	}
+	for _, v := range set {
+		if s.mark[v] == seen {
+			ci := s.val[v]
+			dst[counts[ci]] = v
+			counts[ci]++
+		}
+	}
+	start := base
+	for _, end := range counts {
+		comps = append(comps, dst[start:end:end])
+		start = end
+	}
+	s.counts = counts[:0]
+	return dst, comps
+}
+
+// ComponentsOf returns the connected components of the subgraph induced
+// by the ascending node list set, in SplitSet's order; the members share
+// one allocation of len(set). It replaces the current set with set.
+func (s *Scratch) ComponentsOf(g *Graph, set []int) [][]int {
+	s.MarkSet(g.N(), set)
+	_, comps := s.SplitSet(g, set, make([]int, 0, len(set)), nil)
+	return comps
+}
+
+// Preorder appends to dst the nodes of the current set that root
+// reaches, in the pre-order of their BFS tree rooted at root, each node's
+// children in ascending id order. root must be in the set.
+func (s *Scratch) Preorder(g *Graph, root int, dst []int) []int {
+	// BFS tree: val holds each reached node's parent.
+	in, seen := s.set, s.visit()
+	q := append(s.queue[:0], root)
+	s.mark[root], s.val[root] = seen, -1
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		for _, w := range g.Neighbors(u) {
+			if st := s.mark[w]; st >= in && st != seen {
+				s.mark[w], s.val[w] = seen, u
+				q = append(q, w)
+			}
+		}
+	}
+	// Depth-first walk on the queue's storage as a stack: a node's
+	// children are its ascending neighbours whose parent it is, pushed
+	// in reverse so the smallest comes off first.
+	stack := append(q[:0], root)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		dst = append(dst, v)
+		nb := g.Neighbors(v)
+		for i := len(nb) - 1; i >= 0; i-- {
+			if w := nb[i]; s.mark[w] == seen && s.val[w] == v {
+				stack = append(stack, w)
+			}
+		}
+	}
+	s.queue = stack[:0]
+	return dst
 }
 
 // BFS is the scratch-owned variant of the package-level BFS: identical
@@ -82,19 +279,19 @@ func (s *Scratch) BFS(g *Graph, alive []bool, srcs []int, dist []int) []int {
 // state comes from the scratch.
 func (s *Scratch) Components(g *Graph, alive []bool) [][]int {
 	n := g.N()
-	gen := s.grow(n)
+	seen := s.visitAll(n)
 	var comps [][]int
 	for v := 0; v < n; v++ {
-		if s.mark[v] == gen || (alive != nil && !alive[v]) {
+		if s.mark[v] == seen || (alive != nil && !alive[v]) {
 			continue
 		}
 		q := s.queue[:0]
 		q = append(q, v)
-		s.mark[v] = gen
+		s.mark[v] = seen
 		for head := 0; head < len(q); head++ {
 			for _, w := range g.Neighbors(q[head]) {
-				if s.mark[w] != gen && (alive == nil || alive[w]) {
-					s.mark[w] = gen
+				if s.mark[w] != seen && (alive == nil || alive[w]) {
+					s.mark[w] = seen
 					q = append(q, w)
 				}
 			}
@@ -115,13 +312,13 @@ func (s *Scratch) sortedComponents(g *Graph, alive []bool) [][]int {
 	comps := s.Components(g, alive)
 	for k, comp := range comps {
 		for _, v := range comp {
-			s.remap[v] = k
+			s.val[v] = k
 		}
 		comps[k] = comp[:0]
 	}
 	for v := 0; v < g.N(); v++ {
-		if s.mark[v] == s.gen { // visited by this call's BFS
-			k := s.remap[v]
+		if s.mark[v] == s.seen { // visited by this call's BFS
+			k := s.val[v]
 			comps[k] = append(comps[k], v)
 		}
 	}
@@ -136,45 +333,42 @@ func (s *Scratch) IsConnected(g *Graph, nodes []int) bool {
 	if len(nodes) <= 1 {
 		return true
 	}
-	gen := s.grow(g.N())
-	for _, v := range nodes {
-		s.mark[v] = gen // member, not yet visited
-	}
+	s.MarkSet(g.N(), nodes)
+	in, seen := s.set, s.visit()
 	q := s.queue[:0]
 	q = append(q, nodes[0])
-	s.mark[nodes[0]] = gen + 1
-	reached := 1
+	s.mark[nodes[0]] = seen
 	for head := 0; head < len(q); head++ {
 		for _, w := range g.Neighbors(q[head]) {
-			if s.mark[w] == gen {
-				s.mark[w] = gen + 1
-				reached++
+			if st := s.mark[w]; st >= in && st != seen {
+				s.mark[w] = seen
 				q = append(q, w)
 			}
 		}
 	}
 	s.queue = q[:0]
-	return reached == len(nodes)
+	return len(q) == len(nodes)
 }
 
 // InducedSubgraph returns the subgraph induced by the distinct node set
 // nodes, with new ids assigned by position in nodes, plus the new-to-original
 // id mapping. The CSR rows are built directly from the host graph's rows —
 // no Builder, no edge buffer, no remap map — so the only allocations are the
-// three output arrays.
+// three output arrays. It replaces the current set with nodes.
 func (s *Scratch) InducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
-	gen := s.grow(g.N())
+	s.BeginSet(g.N())
+	in := s.set
 	orig := make([]int, len(nodes))
 	for i, v := range nodes {
-		s.mark[v] = gen
-		s.remap[v] = i
+		s.mark[v] = in
+		s.val[v] = i
 		orig[i] = v
 	}
 	offsets := make([]int64, len(nodes)+1)
 	for i, v := range nodes {
 		d := int64(0)
 		for _, w := range g.Neighbors(v) {
-			if s.mark[w] == gen {
+			if s.mark[w] == in {
 				d++
 			}
 		}
@@ -184,8 +378,8 @@ func (s *Scratch) InducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
 	for i, v := range nodes {
 		c := offsets[i]
 		for _, w := range g.Neighbors(v) {
-			if s.mark[w] == gen {
-				targets[c] = s.remap[w]
+			if s.mark[w] == in {
+				targets[c] = s.val[w]
 				c++
 			}
 		}
@@ -235,7 +429,7 @@ func (s *Scratch) DiameterApprox(g *Graph, alive []bool) int {
 	if n == 0 {
 		return 0
 	}
-	gen := s.grow(n)
+	gen := s.visitAll(n)
 	if cap(s.dist) < n {
 		s.dist = make([]int, n)
 	}

@@ -277,7 +277,7 @@ func (st *state) number(n int, nodes []int) error {
 		}
 		return nil
 	}
-	st.host = st.host[:0]
+	st.host = reserve(st.host, len(nodes))
 	sorted := true
 	for i, v := range nodes {
 		if v < 0 || v >= n {
@@ -400,12 +400,20 @@ func growthSteps(n int, delta float64) int {
 }
 
 // runPhase executes one bit phase to quiescence.
+//
+// The phase's step costs are summed locally and charged once, which
+// totals the same as charging every step.
 func (st *state) runPhase(phase int, m *rounds.Meter) {
 	red, blue := st.paint(phase)
+	var steps, aggregate, messages int64
 	for n := st.seedProposals(red, blue); n > 0; n = st.collectProposals() {
-		m.Charge("rg/propose", 2)
-		st.resolveProposals(m)
+		steps++
+		messages += int64(len(st.propLabels))
+		aggregate += st.resolveProposals()
 	}
+	m.Charge("rg/propose", 2*steps)
+	m.Charge("rg/aggregate", aggregate)
+	m.ChargeMessages(messages)
 	// Once per phase: pipelined tree maintenance over congested edges.
 	var depth int32
 	for _, x := range st.clusters {
@@ -609,18 +617,17 @@ func (st *state) groupProposals() {
 }
 
 // resolveProposals applies accept/retire decisions for one step over the
-// grouped proposals. Every proposer is live and blue when its group comes
-// up (see collectProposals), so a retiring cluster kills all of its
-// proposers.
+// grouped proposals and returns the step's aggregation rounds. Every
+// proposer is live and blue when its group comes up (see
+// collectProposals), so a retiring cluster kills all of its proposers.
 //
 //sdlint:hotpath
-func (st *state) resolveProposals(m *rounds.Meter) {
+func (st *state) resolveProposals() int64 {
 	var maxDepth int32
 	for _, l := range st.propLabels {
 		maxDepth = max(maxDepth, st.clusters[l].maxDepth)
 	}
-	m.Charge("rg/aggregate", 2*int64(maxDepth+1))
-	m.ChargeMessages(int64(len(st.propLabels)))
+	cost := 2 * int64(maxDepth+1)
 
 	var start int32
 	for i, l := range st.propLabels {
@@ -636,6 +643,7 @@ func (st *state) resolveProposals(m *rounds.Meter) {
 			}
 		}
 	}
+	return cost
 }
 
 // accept moves every proposer in ps into cluster x (label l) and attaches
