@@ -484,7 +484,8 @@ feed:
 // components returns the connected components of g (members in BFS
 // discovery order) through a scratch from the engine's free list; only the
 // component slices are allocated once the list holds a scratch grown to
-// g's size.
+// g's size. A connected g yields one component with nil members, which
+// the engine never reads, so its split copies no node list.
 func (e *Engine) components(g *Graph) [][]int {
 	s := e.getScratch()
 	defer e.putScratch(s)

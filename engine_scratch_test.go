@@ -2,6 +2,8 @@ package strongdecomp
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -50,6 +52,34 @@ func TestEngineComponentsSteadyStateAllocs(t *testing.T) {
 	// 3 member slices + up to 3 growth steps of the comps header slice.
 	if allocs > 6 {
 		t.Fatalf("engine components allocates %v per run, want <= 6", allocs)
+	}
+}
+
+// TestEngineSplitBytesIndependentOfSize pins that a warm split of a
+// connected graph copies no node list: it allocates the same bytes at
+// n = 10⁴ and n = 4·10⁴. Copying the one component cost 336,912 B in 2
+// allocations at n = 4·10⁴. The heap counters also see other goroutines
+// of the test binary, which only add bytes, so the least of several
+// single-split readings is the split's own cost.
+func TestEngineSplitBytesIndependentOfSize(t *testing.T) {
+	e := NewEngine(WithWorkers(1))
+	bytesPerSplit := func(n int) uint64 {
+		g := graph.RandomRegularish(n, 6, 43)
+		e.components(g) // warm the free list's scratch
+		least := uint64(math.MaxUint64)
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if len(e.components(g)) != 1 {
+				t.Fatalf("n=%d: want one component", n)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if small, big := bytesPerSplit(10_000), bytesPerSplit(40_000); small != big {
+		t.Fatalf("warm split allocates %d B per run at n = 10⁴ and %d B at n = 4·10⁴, want equal", small, big)
 	}
 }
 

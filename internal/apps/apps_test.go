@@ -1,20 +1,21 @@
 package apps
 
 import (
-	"math/rand"
+	"context"
 	"testing"
 	"testing/quick"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/core"
 	"strongdecomp/internal/graph"
-	"strongdecomp/internal/mpx"
+	_ "strongdecomp/internal/mpx" // registers the "mpx" construction
+	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
 func decompose(t *testing.T, g *graph.Graph) *cluster.Decomposition {
 	t.Helper()
-	d, err := core.DecomposeRG(g, nil)
+	d, err := core.DecomposeRGContext(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,11 @@ func TestMISAcrossFamilies(t *testing.T) {
 
 func TestMISWithRandomizedDecomposition(t *testing.T) {
 	g := graph.Cycle(300)
-	d, err := mpx.Decompose(g, rand.New(rand.NewSource(5)), nil)
+	alg, err := registry.Lookup("mpx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := alg.Decompose(context.Background(), g, &registry.RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,7 @@ func TestPropertyMISOnRandomGraphs(t *testing.T) {
 	f := func(seed uint8, nRaw uint8) bool {
 		n := 20 + int(nRaw)%100
 		g := graph.ConnectedGnp(n, 0.06, int64(seed))
-		d, err := core.DecomposeRG(g, nil)
+		d, err := core.DecomposeRGContext(context.Background(), g, nil)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -28,7 +29,7 @@ type AblationRow struct {
 	Clusters   int     `json:"clusters"`
 }
 
-// AblateWeakCarver runs StrongCarve with each available weak carver on the
+// AblateWeakCarver runs the Theorem 2.1 transformation with each available weak carver on the
 // same workload, demonstrating the black-box property of Theorem 2.1.
 func AblateWeakCarver(family string, n int, eps float64, seed int64) ([]AblationRow, error) {
 	g, err := Workload(family, n, seed)
@@ -41,13 +42,13 @@ func AblateWeakCarver(family string, n int, eps float64, seed int64) ([]Ablation
 	}{
 		{name: "rg20-deterministic", weak: rgCarve},
 		{name: "linial-saks-randomized", weak: func(gg *graph.Graph, nodes []int, e float64, m *rounds.Meter) (*cluster.Carving, error) {
-			return ls.Carve(gg, nodes, e, rand.New(rand.NewSource(seed)), m)
+			return ls.CarveContext(context.Background(), gg, nodes, e, rand.New(rand.NewSource(seed)), m)
 		}},
 	}
 	var out []AblationRow
 	for _, c := range carvers {
 		m := rounds.NewMeter()
-		carving, err := core.StrongCarve(g, nil, eps, c.weak, m)
+		carving, err := core.StrongCarveContext(context.Background(), g, nil, eps, c.weak, m)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation %s: %w", c.name, err)
 		}

@@ -223,7 +223,7 @@ type EdgeRow struct {
 }
 
 // TableEdge measures the deterministic edge-version strong carving
-// (core.CarveEdgesRG) on the workload: cut fraction <= eps with every node
+// (core.CarveEdgesRGContext) on the workload: cut fraction <= eps with every node
 // clustered, reproducing the paper's edge-version remark.
 func TableEdge(family string, n int, eps float64, seed int64) (*EdgeRow, error) {
 	g, err := Workload(family, n, seed)
@@ -231,7 +231,7 @@ func TableEdge(family string, n int, eps float64, seed int64) (*EdgeRow, error) 
 		return nil, err
 	}
 	m := rounds.NewMeter()
-	ec, err := core.CarveEdgesRG(g, nil, eps, m)
+	ec, err := core.CarveEdgesRGContext(context.Background(), g, nil, eps, m)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +288,7 @@ func Thm21Accounting(family string, n int, eps float64, seed int64) (*Accounting
 		return nil, err
 	}
 	m := rounds.NewMeter()
-	c, err := core.CarveRG(g, nil, eps, m)
+	c, err := core.CarveRGContext(context.Background(), g, nil, eps, m)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func Barrier(nExp, deg, pathLen int, eps float64, seed int64) ([]BarrierResult, 
 		g    *graph.Graph
 	}{{"subdivided-expander", barrier}, {"torus", benign}} {
 		cuts, comps := 0, 0
-		c, err := core.CarveImproved(tc.g, nil, eps, nil)
+		c, err := core.CarveImprovedContext(context.Background(), tc.g, nil, eps, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +403,7 @@ func MessageSizes(n int, seed int64) (*MessageSizeResult, error) {
 	}
 	m := rounds.NewMeter()
 	_, stats, err := seqcarve.ABCPTransform(g, func(p *graph.Graph, pm *rounds.Meter) (*cluster.Decomposition, error) {
-		return core.DecomposeRG(p, pm)
+		return core.DecomposeRGContext(context.Background(), p, pm)
 	}, m)
 	if err != nil {
 		return nil, err

@@ -2,20 +2,24 @@
 //
 //   - Theorem 2.1: a message-efficient deterministic transformation turning
 //     any weak-diameter ball carving algorithm A into a strong-diameter ball
-//     carving algorithm B (StrongCarve);
+//     carving algorithm B (StrongCarveContext);
 //   - Theorem 2.2: its instantiation with the deterministic weak carver of
-//     internal/rg (CarveRG);
+//     internal/rg (CarveRGContext);
 //   - Theorem 2.3: the strong-diameter network decomposition obtained by
-//     log n repetitions of ball carving with ε = 1/2 (Decompose);
+//     log n repetitions of ball carving with ε = 1/2 (DecomposeContext, the
+//     one colour loop every registered construction runs, and its RG
+//     instantiation DecomposeRGContext);
 //   - Lemma 3.1: the balanced-sparse-cut-or-large-small-diameter-component
 //     subroutine (CutOrComponent);
-//   - Theorem 3.2: the diameter-improvement transformation (ImproveDiameter);
-//   - Theorems 3.3/3.4: their instantiations (CarveImproved,
-//     DecomposeImproved) achieving strong diameter O(log² n / ε).
+//   - Theorem 3.2: the diameter-improvement transformation
+//     (ImproveDiameterContext);
+//   - Theorems 3.3/3.4: their instantiations (CarveImprovedContext,
+//     DecomposeImprovedContext) achieving strong diameter O(log² n / ε).
 //
 // All algorithms are deterministic, operate on the subgraph induced by a
-// node subset of a host graph, and charge their distributed cost to an
-// optional rounds.Meter using the cost model described in DESIGN.md.
+// node subset of a host graph, observe cancellation through their context,
+// and charge their distributed cost to an optional rounds.Meter using the
+// cost model described in DESIGN.md.
 package core
 
 import (
@@ -36,23 +40,11 @@ import (
 // clusters, each with a bounded-depth Steiner tree in the host graph.
 type WeakCarver func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
 
-// StrongCarver is the contract of algorithm B: it removes at most an eps
-// fraction of nodes so that every remaining connected component (cluster)
-// has bounded strong diameter.
-type StrongCarver func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
-
-// CtxStrongCarver is the context-aware StrongCarver contract used by the
-// registry-facing entry points; cancellation is observed between carving
-// iterations.
+// CtxStrongCarver is the contract of algorithm B: it removes at most an
+// eps fraction of nodes so that every remaining connected component
+// (cluster) has bounded strong diameter. Cancellation is observed between
+// carving iterations.
 type CtxStrongCarver func(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
-
-// withCtx lifts a legacy StrongCarver into the context-aware shape; the
-// carver itself runs to completion, cancellation applies between calls.
-func withCtx(carver StrongCarver) CtxStrongCarver {
-	return func(_ context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-		return carver(g, nodes, eps, m)
-	}
-}
 
 // collector accumulates emitted clusters over the iterative process.
 type collector struct {
@@ -86,8 +78,8 @@ func (co *collector) carving() *cluster.Carving {
 	return &cluster.Carving{Assign: co.assign, K: co.k, Centers: co.centers}
 }
 
-// StrongCarve is the Theorem 2.1 transformation. Given the black-box weak
-// carver A, it computes a strong-diameter ball carving of the subgraph
+// StrongCarveContext is the Theorem 2.1 transformation. Given the black-box
+// weak carver A, it computes a strong-diameter ball carving of the subgraph
 // induced by nodes (nil = all of g) that removes at most an eps fraction of
 // the nodes. Every emitted cluster is connected with strong diameter at most
 // 2·R + O(log n / eps), where R is the realized Steiner-tree depth of A when
@@ -100,14 +92,9 @@ func (co *collector) carving() *cluster.Carving {
 // shell holds at most an eps/2 fraction of the ball; the ball is emitted as
 // a final cluster and the shell dies. Otherwise A's unclustered nodes die.
 // Either way every surviving component halves, so log n iterations suffice.
-func StrongCarve(g *graph.Graph, nodes []int, eps float64, weak WeakCarver, m *rounds.Meter) (*cluster.Carving, error) {
-	return StrongCarveContext(context.Background(), g, nodes, eps, weak, m)
-}
-
-// StrongCarveContext is StrongCarve with cancellation: the context is
-// checked before every component task, so a canceled run stops within one
-// weak-carver invocation and returns registry.ErrCanceled.
 //
+// The context is checked before every component task, so a canceled run
+// stops within one weak-carver invocation and returns registry.ErrCanceled.
 // The loop's working state comes from the Scratch ctx carries (see
 // WithScratch), and every pass over a component touches only that
 // component, so a task costs O(|S| + vol(S)) beyond the weak carver.
@@ -256,30 +243,25 @@ func (sc *Scratch) clusterSizes(c *cluster.Carving, s []int) []int {
 	return sizes
 }
 
-// CarveRG is Theorem 2.2: StrongCarve instantiated with the deterministic
-// weak-diameter carver of internal/rg.
-func CarveRG(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	return CarveRGContext(context.Background(), g, nodes, eps, m)
-}
-
-// CarveRGContext is CarveRG with cancellation support: the context is
-// checked between StrongCarveContext's component tasks.
+// CarveRGContext is Theorem 2.2: StrongCarveContext instantiated with the
+// deterministic weak-diameter carver of internal/rg.
 func CarveRGContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
 	return StrongCarveContext(ctx, g, nodes, eps, rg.Carve, m)
 }
 
-// Decompose is the standard reduction from network decomposition to ball
-// carving used by Theorems 2.3 and 3.4: repeat the carver with eps = 1/2 on
-// the remaining nodes; clusters found in iteration i receive color i. A
-// deterministic carver yields at most ceil(log₂ n) + 1 colors.
-func Decompose(g *graph.Graph, carver StrongCarver, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeContext(context.Background(), g, withCtx(carver), m)
-}
-
-// DecomposeContext is the context-aware reduction: cancellation is observed
-// before every color iteration and inside context-aware carvers. The
-// uncolored nodes are kept in the Scratch ctx carries (see WithScratch),
-// which the carver shares.
+// DecomposeContext is the standard reduction from network decomposition to
+// ball carving used by Theorems 2.3 and 3.4: repeat the carver with
+// eps = 1/2 on the remaining nodes; clusters found in iteration i receive
+// color i. A deterministic carver yields at most ceil(log₂ n) + 1 colors.
+// It is the one colour loop: every registered construction's decomposition
+// runs it with its own carver, so all of them share its convergence guard,
+// which fails a run that has not clustered every node after
+// 4·(ceil(log₂ n) + 2) colors.
+//
+// Cancellation is observed before every color iteration and inside
+// context-aware carvers. The uncolored nodes are kept in the Scratch ctx
+// carries (see WithScratch), which the carver shares; the carver must not
+// retain the node slice it is handed.
 func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarver, m *rounds.Meter) (*cluster.Decomposition, error) {
 	ctx, sc := withScratch(ctx)
 	n := g.N()
@@ -351,13 +333,8 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarve
 	return &cluster.Decomposition{Assign: assign, Color: color, K: k, Colors: colors, Centers: centers}, nil
 }
 
-// DecomposeRG is Theorem 2.3: a deterministic strong-diameter network
-// decomposition with O(log n) colors and O(log³ n) cluster diameter.
-func DecomposeRG(g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeRGContext(context.Background(), g, m)
-}
-
-// DecomposeRGContext is DecomposeRG with cancellation support.
+// DecomposeRGContext is Theorem 2.3: a deterministic strong-diameter
+// network decomposition with O(log n) colors and O(log³ n) cluster diameter.
 func DecomposeRGContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
 	return DecomposeContext(ctx, g, CarveRGContext, m)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"strongdecomp/internal/cluster"
@@ -36,7 +38,7 @@ func testGraphs() map[string]*graph.Graph {
 func TestStrongCarveRejectsBadEps(t *testing.T) {
 	g := graph.Path(4)
 	for _, eps := range []float64{0, -0.1, 1.2} {
-		if _, err := CarveRG(g, nil, eps, nil); err == nil {
+		if _, err := CarveRGContext(context.Background(), g, nil, eps, nil); err == nil {
 			t.Fatalf("eps %v accepted", eps)
 		}
 	}
@@ -47,7 +49,7 @@ func TestStrongCarveEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CarveRG(g, nil, 0.5, nil)
+	c, err := CarveRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestCarveRGInvariantsAcrossFamilies(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			for _, eps := range []float64{0.5, 0.25} {
-				c, err := CarveRG(g, nil, eps, nil)
+				c, err := CarveRGContext(context.Background(), g, nil, eps, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,11 +77,11 @@ func TestCarveRGInvariantsAcrossFamilies(t *testing.T) {
 
 func TestCarveRGIsDeterministic(t *testing.T) {
 	g := graph.ConnectedGnp(110, 0.04, 21)
-	a, err := CarveRG(g, nil, 0.5, nil)
+	a, err := CarveRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CarveRG(g, nil, 0.5, nil)
+	b, err := CarveRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestCarveRGOnSubset(t *testing.T) {
 	for v := 0; v < 50; v++ {
 		nodes = append(nodes, v)
 	}
-	c, err := CarveRG(g, nodes, 0.5, nil)
+	c, err := CarveRGContext(context.Background(), g, nodes, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestCarveRGOnSubset(t *testing.T) {
 func TestStrongCarveChargesAllTerms(t *testing.T) {
 	g := graph.ConnectedGnp(120, 0.05, 8)
 	m := rounds.NewMeter()
-	if _, err := CarveRG(g, nil, 0.5, m); err != nil {
+	if _, err := CarveRGContext(context.Background(), g, nil, 0.5, m); err != nil {
 		t.Fatal(err)
 	}
 	// The three terms of Theorem 2.1: A's own rounds, Steiner-tree
@@ -136,7 +138,7 @@ func TestStrongCarveChargesAllTerms(t *testing.T) {
 func TestDecomposeRGValid(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			d, err := DecomposeRG(g, nil)
+			d, err := DecomposeRGContext(context.Background(), g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +157,7 @@ func TestDecomposeHalvesEachIteration(t *testing.T) {
 	// With a deterministic carver at eps=1/2, iteration i clusters at least
 	// half the remainder, so color class sizes certify the halving.
 	g := graph.Grid(12, 12)
-	d, err := DecomposeRG(g, nil)
+	d, err := DecomposeRGContext(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestShellWindowShrinksWithEps(t *testing.T) {
 func TestStrongCarveRealizedDiameter(t *testing.T) {
 	g := graph.ConnectedGnp(150, 0.03, 12)
 	eps := 0.5
-	c, err := CarveRG(g, nil, eps, nil)
+	c, err := CarveRGContext(context.Background(), g, nil, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +212,37 @@ func TestStrongCarveRealizedDiameter(t *testing.T) {
 		loose := 4 * log2ceil(g.N()) * log2ceil(g.N()) * int(math.Ceil(1/eps))
 		if d > loose {
 			t.Fatalf("realized diameter %d suspiciously large (> %d)", d, loose)
+		}
+	}
+}
+
+// TestDecomposeContextConvergenceGuard pins the colour loop's guard: a
+// carver that never clusters a node fails the run with the "did not
+// converge" error after exactly 4·(⌈log₂ n⌉ + 2) + 1 calls, instead of
+// looping forever.
+func TestDecomposeContextConvergenceGuard(t *testing.T) {
+	for _, tc := range []struct {
+		g     *graph.Graph
+		calls int
+	}{
+		{graph.Path(100), 4*(7+2) + 1},
+		{graph.Grid(30, 30), 4*(10+2) + 1},
+	} {
+		calls := 0
+		idle := func(_ context.Context, g *graph.Graph, _ []int, _ float64, _ *rounds.Meter) (*cluster.Carving, error) {
+			calls++
+			assign := make([]int, g.N())
+			for v := range assign {
+				assign[v] = cluster.Unclustered
+			}
+			return &cluster.Carving{Assign: assign}, nil
+		}
+		_, err := DecomposeContext(context.Background(), tc.g, idle, nil)
+		if err == nil || !strings.Contains(err.Error(), "did not converge") {
+			t.Fatalf("n=%d: got error %v, want a convergence failure", tc.g.N(), err)
+		}
+		if calls != tc.calls {
+			t.Fatalf("n=%d: carver called %d times, want %d", tc.g.N(), calls, tc.calls)
 		}
 	}
 }

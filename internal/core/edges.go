@@ -34,19 +34,14 @@ type EdgeCarving struct {
 // EdgeWeakCarver is the edge-version black box of the transformation.
 type EdgeWeakCarver func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*rg.EdgeCarving, error)
 
-// StrongCarveEdges is the edge version of Theorem 2.1: using a weak-diameter
-// edge carver as a black box, it cuts at most an eps fraction of the edges
-// of the subgraph induced by nodes so that every remaining connected
-// component has bounded strong diameter. The iteration structure mirrors the
-// node version with edge counts in place of node counts: the giant-cluster
-// ball grows until a radius whose boundary holds at most an eps/2 fraction
-// of the ball's edges, and the boundary edges (not nodes) are cut.
-func StrongCarveEdges(g *graph.Graph, nodes []int, eps float64, weak EdgeWeakCarver, m *rounds.Meter) (*EdgeCarving, error) {
-	return StrongCarveEdgesContext(context.Background(), g, nodes, eps, weak, m)
-}
-
-// StrongCarveEdgesContext is StrongCarveEdges with cancellation observed
-// before every component task.
+// StrongCarveEdgesContext is the edge version of Theorem 2.1: using a
+// weak-diameter edge carver as a black box, it cuts at most an eps fraction
+// of the edges of the subgraph induced by nodes so that every remaining
+// connected component has bounded strong diameter. The iteration structure
+// mirrors the node version with edge counts in place of node counts: the
+// giant-cluster ball grows until a radius whose boundary holds at most an
+// eps/2 fraction of the ball's edges, and the boundary edges (not nodes)
+// are cut. Cancellation is observed before every component task.
 func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, weak EdgeWeakCarver, m *rounds.Meter) (*EdgeCarving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("core: eps %v outside (0, 1]", eps)
@@ -226,13 +221,9 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 	return out, nil
 }
 
-// CarveEdgesRG is the edge version of Theorem 2.2: StrongCarveEdges
-// instantiated with the deterministic weak edge carver of internal/rg.
-func CarveEdgesRG(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*EdgeCarving, error) {
-	return CarveEdgesRGContext(context.Background(), g, nodes, eps, m)
-}
-
-// CarveEdgesRGContext is CarveEdgesRG with cancellation support.
+// CarveEdgesRGContext is the edge version of Theorem 2.2:
+// StrongCarveEdgesContext instantiated with the deterministic weak edge
+// carver of internal/rg.
 func CarveEdgesRGContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*EdgeCarving, error) {
 	return StrongCarveEdgesContext(ctx, g, nodes, eps, rg.CarveEdges, m)
 }

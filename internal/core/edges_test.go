@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ import (
 func TestCarveEdgesRGRejectsBadEps(t *testing.T) {
 	g := graph.Path(4)
 	for _, eps := range []float64{0, -0.5, 1.5} {
-		if _, err := CarveEdgesRG(g, nil, eps, nil); err == nil {
+		if _, err := CarveEdgesRGContext(context.Background(), g, nil, eps, nil); err == nil {
 			t.Fatalf("eps %v accepted", eps)
 		}
 	}
@@ -23,7 +24,7 @@ func TestCarveEdgesRGEmptyAndIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := CarveEdgesRG(g, nil, 0.5, nil)
+	ec, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestCarveEdgesRGEmptyAndIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err = CarveEdgesRG(iso, nil, 0.5, nil)
+	ec, err = CarveEdgesRGContext(context.Background(), iso, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestCarveEdgesRGInvariantsAcrossFamilies(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			for _, eps := range []float64{0.5, 0.25} {
-				ec, err := CarveEdgesRG(g, nil, eps, nil)
+				ec, err := CarveEdgesRGContext(context.Background(), g, nil, eps, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +63,7 @@ func TestCarveEdgesRGInvariantsAcrossFamilies(t *testing.T) {
 
 func TestCarveEdgesRGKeepsEveryNode(t *testing.T) {
 	g := graph.ConnectedGnp(150, 0.03, 9)
-	ec, err := CarveEdgesRG(g, nil, 0.5, nil)
+	ec, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestCarveEdgesRGKeepsEveryNode(t *testing.T) {
 
 func TestCarveEdgesRGDeterministic(t *testing.T) {
 	g := graph.Cycle(300)
-	a, err := CarveEdgesRG(g, nil, 0.5, nil)
+	a, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CarveEdgesRG(g, nil, 0.5, nil)
+	b, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCarveEdgesRGDeterministic(t *testing.T) {
 func TestCarveEdgesRGOnSubset(t *testing.T) {
 	g := graph.Path(30)
 	nodes := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	ec, err := CarveEdgesRG(g, nodes, 0.5, nil)
+	ec, err := CarveEdgesRGContext(context.Background(), g, nodes, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCarveEdgesRGOnSubset(t *testing.T) {
 func TestCarveEdgesRGChargesRounds(t *testing.T) {
 	g := graph.Cycle(200)
 	m := rounds.NewMeter()
-	if _, err := CarveEdgesRG(g, nil, 0.5, m); err != nil {
+	if _, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Component("thm21/bfs") == 0 && m.Component("rg/propose") == 0 {
@@ -120,7 +121,7 @@ func TestPropertyCarveEdgesRG(t *testing.T) {
 	f := func(seed uint8, nRaw uint8) bool {
 		n := 20 + int(nRaw)%100
 		g := graph.ConnectedGnp(n, 0.05, int64(seed))
-		ec, err := CarveEdgesRG(g, nil, 0.5, nil)
+		ec, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil)
 		if err != nil {
 			return false
 		}
@@ -136,7 +137,7 @@ func TestPropertyCarveEdgesRG(t *testing.T) {
 func TestCarveEdgesRGCycleShape(t *testing.T) {
 	g := graph.Cycle(2048)
 	eps := 0.5
-	ec, err := CarveEdgesRG(g, nil, eps, nil)
+	ec, err := CarveEdgesRGContext(context.Background(), g, nil, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,20 +136,15 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 	return &CutResult{U: u, Boundary: boundary}, nil
 }
 
-// ImproveDiameter is the Theorem 3.2 transformation: given any
+// ImproveDiameterContext is the Theorem 3.2 transformation: given any
 // strong-diameter ball carving algorithm A1, it produces a strong-diameter
 // ball carving whose clusters have diameter O(log² n / eps), removing at
 // most an eps fraction of the nodes. Per recursion level it runs A1 with a
 // boundary parameter reduced by the recursion depth, applies Lemma 3.1 to
 // every cluster, and recurses into the cut sides or the remainder away from
 // an emitted component. Every branch shrinks by a factor 2/3, so the
-// recursion depth is O(log n).
-func ImproveDiameter(g *graph.Graph, nodes []int, eps float64, carver StrongCarver, m *rounds.Meter) (*cluster.Carving, error) {
-	return ImproveDiameterContext(context.Background(), g, nodes, eps, withCtx(carver), m)
-}
-
-// ImproveDiameterContext is ImproveDiameter with cancellation: the context
-// is checked before every recursion task and inside the carver.
+// recursion depth is O(log n). The context is checked before every
+// recursion task and inside the carver.
 func ImproveDiameterContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, carver CtxStrongCarver, m *rounds.Meter) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("core: eps %v outside (0, 1]", eps)
@@ -222,25 +217,15 @@ func ImproveDiameterContext(ctx context.Context, g *graph.Graph, nodes []int, ep
 	return co.carving(), nil
 }
 
-// CarveImproved is Theorem 3.3: ImproveDiameter instantiated with the
-// Theorem 2.2 carver, achieving strong diameter O(log² n / eps)
+// CarveImprovedContext is Theorem 3.3: ImproveDiameterContext instantiated
+// with the Theorem 2.2 carver, achieving strong diameter O(log² n / eps)
 // deterministically.
-func CarveImproved(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	return CarveImprovedContext(context.Background(), g, nodes, eps, m)
-}
-
-// CarveImprovedContext is CarveImproved with cancellation support.
 func CarveImprovedContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
 	return ImproveDiameterContext(ctx, g, nodes, eps, CarveRGContext, m)
 }
 
-// DecomposeImproved is Theorem 3.4: a deterministic strong-diameter network
-// decomposition with O(log n) colors and O(log² n) cluster diameter.
-func DecomposeImproved(g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeImprovedContext(context.Background(), g, m)
-}
-
-// DecomposeImprovedContext is DecomposeImproved with cancellation support.
+// DecomposeImprovedContext is Theorem 3.4: a deterministic strong-diameter
+// network decomposition with O(log n) colors and O(log² n) cluster diameter.
 func DecomposeImprovedContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
 	return DecomposeContext(ctx, g, CarveImprovedContext, m)
 }

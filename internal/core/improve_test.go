@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -166,7 +167,7 @@ func TestImproveDiameterInvariants(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			for _, eps := range []float64{0.5, 0.25} {
-				c, err := CarveImproved(g, nil, eps, nil)
+				c, err := CarveImprovedContext(context.Background(), g, nil, eps, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +185,7 @@ func TestImproveDiameterBeatsThm22OnPathologicalInputs(t *testing.T) {
 	// bring the diameter down to the log²/eps regime.
 	g := graph.Path(3000)
 	eps := 0.5
-	c, err := CarveImproved(g, nil, eps, nil)
+	c, err := CarveImprovedContext(context.Background(), g, nil, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestDecomposeImprovedValid(t *testing.T) {
 	for _, name := range []string{"grid", "gnp", "subdivided", "union"} {
 		g := testGraphs()[name]
 		t.Run(name, func(t *testing.T) {
-			d, err := DecomposeImproved(g, nil)
+			d, err := DecomposeImprovedContext(context.Background(), g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +216,7 @@ func TestPropertyImproveDiameterOnRandomGraphs(t *testing.T) {
 	f := func(seed uint8, nRaw uint8) bool {
 		n := 30 + int(nRaw)%100
 		g := graph.ConnectedGnp(n, 0.05, int64(seed))
-		c, err := CarveImproved(g, nil, 0.5, nil)
+		c, err := CarveImprovedContext(context.Background(), g, nil, 0.5, nil)
 		if err != nil {
 			return false
 		}

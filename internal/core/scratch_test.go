@@ -53,12 +53,12 @@ func TestStrongCarveSplitsUnlessConnected(t *testing.T) {
 					t.Fatalf("weak call %d ran on a disconnected set of %d nodes", i, len(s))
 				}
 			}
-			want, err := StrongCarve(tc.g, nil, 0.5, rg.Carve, nil)
+			want, err := StrongCarveContext(context.Background(), tc.g, nil, 0.5, rg.Carve, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(c.Assign, want.Assign) || !slices.Equal(c.Centers, want.Centers) {
-				t.Fatal("carving differs from a plain StrongCarve")
+				t.Fatal("carving differs from one on a background context")
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func TestStrongCarveWarmAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const ceiling = 12
 	if allocs := testing.AllocsPerRun(10, run); allocs > ceiling {
-		t.Fatalf("warm StrongCarve allocates %v per run, want <= %d", allocs, ceiling)
+		t.Fatalf("warm StrongCarveContext allocates %v per run, want <= %d", allocs, ceiling)
 	}
 }
 

@@ -276,7 +276,9 @@ func (s *Scratch) BFS(g *Graph, alive []bool, srcs []int, dist []int) []int {
 // Components returns the connected components of the alive subgraph in BFS
 // visit order (components ordered by smallest node, members in discovery
 // order). Only the returned component slices are allocated; all traversal
-// state comes from the scratch.
+// state comes from the scratch. A component that spans all n nodes of g is
+// returned with nil members: they are every node of g, and copying them
+// would cost O(n) for a caller that only counts the components.
 func (s *Scratch) Components(g *Graph, alive []bool) [][]int {
 	n := g.N()
 	seen := s.visitAll(n)
@@ -296,10 +298,13 @@ func (s *Scratch) Components(g *Graph, alive []bool) [][]int {
 				}
 			}
 		}
+		s.queue = q[:0] // retain grown capacity for the next component
+		if len(q) == n {
+			return [][]int{nil}
+		}
 		comp := make([]int, len(q))
 		copy(comp, q)
 		comps = append(comps, comp)
-		s.queue = q[:0] // retain grown capacity for the next component
 	}
 	return comps
 }
@@ -310,6 +315,13 @@ func (s *Scratch) Components(g *Graph, alive []bool) [][]int {
 // component in place. Components stay ordered by their smallest node.
 func (s *Scratch) sortedComponents(g *Graph, alive []bool) [][]int {
 	comps := s.Components(g, alive)
+	if len(comps) == 1 && comps[0] == nil { // spans g: 0..n-1 ascending
+		comps[0] = make([]int, g.N())
+		for v := range comps[0] {
+			comps[0][v] = v
+		}
+		return comps
+	}
 	for k, comp := range comps {
 		for _, v := range comp {
 			s.val[v] = k

@@ -1,9 +1,9 @@
 // Package ls implements the randomized weak-diameter constructions of
 // Linial and Saks [LS93]: a weak-diameter ball carving with clusters of weak
 // diameter O(log n / ε) in O(log n / ε) rounds, and, by the standard
-// iteration, a weak-diameter network decomposition with O(log n) colors and
-// O(log n) weak diameter in O(log² n) rounds. These populate the "Weak /
-// Randomized" rows of the paper's Tables 1 and 2.
+// iteration (core.DecomposeContext), a weak-diameter network decomposition
+// with O(log n) colors and O(log n) weak diameter in O(log² n) rounds. These
+// populate the "Weak / Randomized" rows of the paper's Tables 1 and 2.
 //
 // Per carving iteration every live node u draws a truncated geometric radius
 // r_u and broadcasts (id_u, r_u) up to r_u hops; each node v selects the
@@ -11,8 +11,8 @@
 // strictly inside that ball (d(u,v) < r_u). The classic argument shows
 // clusters of one iteration are non-adjacent, and each boundary event has
 // probability at most p by memorylessness, so the expected dead fraction is
-// at most p. Carve retries with fresh randomness until the realized dead
-// fraction meets ε (Las Vegas boosting), so its post-condition is
+// at most p. CarveContext retries with fresh randomness until the realized
+// dead fraction meets ε (Las Vegas boosting), so its post-condition is
 // deterministic.
 package ls
 
@@ -42,16 +42,11 @@ func Radius(n int, p float64) int {
 	return int(math.Ceil(math.Log(float64(n))/p)) + 1
 }
 
-// Carve computes a weak-diameter ball carving of the subgraph induced by
-// nodes (nil = all of g) removing at most an eps fraction of them. Clusters
-// have weak diameter at most 2·Radius(n, eps/2) and come with Steiner trees
-// (the covering BFS trees truncated to members and their relay paths).
-func Carve(g *graph.Graph, nodes []int, eps float64, rng *rand.Rand, m *rounds.Meter) (*cluster.Carving, error) {
-	return CarveContext(context.Background(), g, nodes, eps, rng, m)
-}
-
-// CarveContext is Carve with cancellation observed between Las Vegas
-// attempts.
+// CarveContext computes a weak-diameter ball carving of the subgraph
+// induced by nodes (nil = all of g) removing at most an eps fraction of
+// them. Clusters have weak diameter at most 2·Radius(n, eps/2) and come with
+// Steiner trees (the covering BFS trees truncated to members and their relay
+// paths). Cancellation is observed between Las Vegas attempts.
 func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, rng *rand.Rand, m *rounds.Meter) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("ls: eps %v outside (0, 1]", eps)
@@ -141,60 +136,6 @@ func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds
 		trees[i] = steinerTree(g, inS, u, members[u], idx)
 	}
 	return &cluster.Carving{Assign: assign, K: len(centers), Centers: centers, Trees: trees}
-}
-
-// Decompose builds a weak-diameter network decomposition by iterating Carve
-// with eps = 1/2 on the remaining nodes; clusters found in iteration i get
-// color i. With high probability this needs O(log n) colors.
-func Decompose(g *graph.Graph, rng *rand.Rand, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeContext(context.Background(), g, rng, m)
-}
-
-// DecomposeContext is Decompose with cancellation observed before every
-// color iteration.
-func DecomposeContext(ctx context.Context, g *graph.Graph, rng *rand.Rand, m *rounds.Meter) (*cluster.Decomposition, error) {
-	n := g.N()
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = cluster.Unclustered
-	}
-	var (
-		color   []int
-		centers []int
-		k       int
-	)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for iter := 0; len(remaining) > 0; iter++ {
-		c, err := CarveContext(ctx, g, remaining, 0.5, rng, m)
-		if err != nil {
-			return nil, err
-		}
-		for i, members := range c.Members() {
-			for _, v := range members {
-				assign[v] = k
-			}
-			color = append(color, iter)
-			centers = append(centers, c.Centers[i])
-			k++
-		}
-		var rest []int
-		for _, v := range remaining {
-			if assign[v] == cluster.Unclustered {
-				rest = append(rest, v)
-			}
-		}
-		remaining = rest
-	}
-	colors := 0
-	for _, col := range color {
-		if col+1 > colors {
-			colors = col + 1
-		}
-	}
-	return &cluster.Decomposition{Assign: assign, Color: color, K: k, Colors: colors, Centers: centers}, nil
 }
 
 func truncGeometric(p float64, maxR int, rng *rand.Rand) int {

@@ -1,11 +1,13 @@
 package ls
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
+	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
@@ -13,7 +15,7 @@ func TestCarveRejectsBadEps(t *testing.T) {
 	g := graph.Path(4)
 	rng := rand.New(rand.NewSource(1))
 	for _, eps := range []float64{0, -1, 1.01} {
-		if _, err := Carve(g, nil, eps, rng, nil); err == nil {
+		if _, err := CarveContext(context.Background(), g, nil, eps, rng, nil); err == nil {
 			t.Fatalf("eps %v accepted", eps)
 		}
 	}
@@ -22,7 +24,7 @@ func TestCarveRejectsBadEps(t *testing.T) {
 func TestCarveEmptySubset(t *testing.T) {
 	g := graph.Path(4)
 	rng := rand.New(rand.NewSource(1))
-	c, err := Carve(g, []int{}, 0.5, rng, nil)
+	c, err := CarveContext(context.Background(), g, []int{}, 0.5, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestCarveInvariantsAcrossFamilies(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for _, eps := range []float64{0.5, 0.25} {
-				c, err := Carve(tt.g, nil, eps, rng, nil)
+				c, err := CarveContext(context.Background(), tt.g, nil, eps, rng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +74,7 @@ func TestCarveChargesRounds(t *testing.T) {
 	g := graph.Grid(8, 8)
 	m := rounds.NewMeter()
 	rng := rand.New(rand.NewSource(3))
-	if _, err := Carve(g, nil, 0.5, rng, m); err != nil {
+	if _, err := CarveContext(context.Background(), g, nil, 0.5, rng, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Component("ls/flood") == 0 {
@@ -82,11 +84,11 @@ func TestCarveChargesRounds(t *testing.T) {
 
 func TestCarveSeedReproducible(t *testing.T) {
 	g := graph.ConnectedGnp(80, 0.05, 5)
-	a, err := Carve(g, nil, 0.5, rand.New(rand.NewSource(11)), nil)
+	a, err := CarveContext(context.Background(), g, nil, 0.5, rand.New(rand.NewSource(11)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Carve(g, nil, 0.5, rand.New(rand.NewSource(11)), nil)
+	b, err := CarveContext(context.Background(), g, nil, 0.5, rand.New(rand.NewSource(11)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +109,13 @@ func TestDecomposeValid(t *testing.T) {
 		{"path", graph.Path(100)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			d, err := Decompose(tt.g, rng, nil)
+			// The registration runs CarveContext through the standard
+			// iteration, core.DecomposeContext.
+			alg, err := registry.Lookup("linial-saks")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := alg.Decompose(context.Background(), tt.g, &registry.RunOptions{Seed: 17})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,8 +2,9 @@
 // on exponential random shifts by Miller, Peng, and Xu [MPX13], in the form
 // used by Elkin and Neiman [EN16]: a strong-diameter ball carving with
 // clusters of diameter O(log n / ε) in O(log n / ε) rounds, and, by the
-// standard iteration, a strong-diameter network decomposition with O(log n)
-// colors and O(log n) diameter in O(log² n) rounds. These populate the
+// standard iteration (core.DecomposeContext), a strong-diameter network
+// decomposition with O(log n) colors and O(log n) diameter in O(log² n)
+// rounds — the Elkin–Neiman row of Table 1. These populate the
 // "Strong / Randomized" rows of the paper's Tables 1 and 2.
 //
 // Every node u draws a shift δ_u ~ Exp(β) and the nodes race: v joins the
@@ -31,16 +32,11 @@ import (
 // maxCarveAttempts bounds the Las Vegas retry loop on the dead fraction.
 const maxCarveAttempts = 40
 
-// Carve computes a strong-diameter ball carving of the subgraph induced by
-// nodes (nil = all of g), removing at most an eps fraction of them. The
-// surviving clusters are non-adjacent, connected, and have strong diameter
-// O(log n / eps) with high probability.
-func Carve(g *graph.Graph, nodes []int, eps float64, rng *rand.Rand, m *rounds.Meter) (*cluster.Carving, error) {
-	return CarveContext(context.Background(), g, nodes, eps, rng, m)
-}
-
-// CarveContext is Carve with cancellation observed between Las Vegas
-// attempts.
+// CarveContext computes a strong-diameter ball carving of the subgraph
+// induced by nodes (nil = all of g), removing at most an eps fraction of
+// them. The surviving clusters are non-adjacent, connected, and have strong
+// diameter O(log n / eps) with high probability. Cancellation is observed
+// between Las Vegas attempts.
 func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, rng *rand.Rand, m *rounds.Meter) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("mpx: eps %v outside (0, 1]", eps)
@@ -68,61 +64,6 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64,
 		}
 	}
 	return nil, fmt.Errorf("mpx: carving failed to meet eps=%v after %d attempts", eps, maxCarveAttempts)
-}
-
-// Decompose builds a strong-diameter network decomposition by iterating
-// Carve with eps = 1/2; clusters of iteration i get color i. With high
-// probability this uses O(log n) colors, O(log n) diameter, O(log² n)
-// rounds — the Elkin–Neiman row of Table 1.
-func Decompose(g *graph.Graph, rng *rand.Rand, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeContext(context.Background(), g, rng, m)
-}
-
-// DecomposeContext is Decompose with cancellation observed before every
-// color iteration.
-func DecomposeContext(ctx context.Context, g *graph.Graph, rng *rand.Rand, m *rounds.Meter) (*cluster.Decomposition, error) {
-	n := g.N()
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = cluster.Unclustered
-	}
-	var (
-		color   []int
-		centers []int
-		k       int
-	)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for iter := 0; len(remaining) > 0; iter++ {
-		c, err := CarveContext(ctx, g, remaining, 0.5, rng, m)
-		if err != nil {
-			return nil, err
-		}
-		for i, members := range c.Members() {
-			for _, v := range members {
-				assign[v] = k
-			}
-			color = append(color, iter)
-			centers = append(centers, c.Centers[i])
-			k++
-		}
-		var rest []int
-		for _, v := range remaining {
-			if assign[v] == cluster.Unclustered {
-				rest = append(rest, v)
-			}
-		}
-		remaining = rest
-	}
-	colors := 0
-	for _, col := range color {
-		if col+1 > colors {
-			colors = col + 1
-		}
-	}
-	return &cluster.Decomposition{Assign: assign, Color: color, K: k, Colors: colors, Centers: centers}, nil
 }
 
 type arrival struct {

@@ -1,12 +1,14 @@
 package mpx
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
+	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
@@ -14,7 +16,7 @@ func TestCarveRejectsBadEps(t *testing.T) {
 	g := graph.Path(4)
 	rng := rand.New(rand.NewSource(1))
 	for _, eps := range []float64{0, -1, 2} {
-		if _, err := Carve(g, nil, eps, rng, nil); err == nil {
+		if _, err := CarveContext(context.Background(), g, nil, eps, rng, nil); err == nil {
 			t.Fatalf("eps %v accepted", eps)
 		}
 	}
@@ -42,7 +44,7 @@ func TestCarveInvariantsAcrossFamilies(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			for _, eps := range []float64{0.5, 0.25} {
-				c, err := Carve(tt.g, nil, eps, rng, nil)
+				c, err := CarveContext(context.Background(), tt.g, nil, eps, rng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +62,7 @@ func TestCarveOnSubset(t *testing.T) {
 	g := graph.Path(30)
 	nodes := []int{0, 1, 2, 3, 4, 5, 20, 21, 22}
 	rng := rand.New(rand.NewSource(2))
-	c, err := Carve(g, nodes, 0.5, rng, nil)
+	c, err := CarveContext(context.Background(), g, nodes, 0.5, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestCarveChargesRaceRounds(t *testing.T) {
 	g := graph.Grid(10, 10)
 	m := rounds.NewMeter()
 	rng := rand.New(rand.NewSource(4))
-	if _, err := Carve(g, nil, 0.5, rng, m); err != nil {
+	if _, err := CarveContext(context.Background(), g, nil, 0.5, rng, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Component("mpx/race") == 0 {
@@ -92,11 +94,11 @@ func TestCarveChargesRaceRounds(t *testing.T) {
 
 func TestCarveSeedReproducible(t *testing.T) {
 	g := graph.ConnectedGnp(100, 0.04, 6)
-	a, err := Carve(g, nil, 0.5, rand.New(rand.NewSource(5)), nil)
+	a, err := CarveContext(context.Background(), g, nil, 0.5, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Carve(g, nil, 0.5, rand.New(rand.NewSource(5)), nil)
+	b, err := CarveContext(context.Background(), g, nil, 0.5, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +119,13 @@ func TestDecomposeValidStrong(t *testing.T) {
 		{"expander", graph.RandomRegularish(100, 4, 31)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(8))
-			d, err := Decompose(tt.g, rng, nil)
+			// The registration runs CarveContext through the standard
+			// iteration, core.DecomposeContext.
+			alg, err := registry.Lookup("mpx")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := alg.Decompose(context.Background(), tt.g, &registry.RunOptions{Seed: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +145,7 @@ func TestDecomposeValidStrong(t *testing.T) {
 func TestCarveCentersSurvive(t *testing.T) {
 	g := graph.ConnectedGnp(150, 0.03, 77)
 	rng := rand.New(rand.NewSource(10))
-	c, err := Carve(g, nil, 0.5, rng, nil)
+	c, err := CarveContext(context.Background(), g, nil, 0.5, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

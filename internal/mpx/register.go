@@ -8,8 +8,10 @@ import (
 	"math/rand"
 
 	"strongdecomp/internal/cluster"
+	"strongdecomp/internal/core"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/registry"
+	"strongdecomp/internal/rounds"
 )
 
 func init() {
@@ -32,7 +34,12 @@ func init() {
 				return CarveContext(ctx, g, o.Nodes, eps, rand.New(rand.NewSource(o.Seed)), o.Meter)
 			},
 			DecomposeFunc: func(ctx context.Context, g *graph.Graph, o registry.RunOptions) (*cluster.Decomposition, error) {
-				return DecomposeContext(ctx, g, rand.New(rand.NewSource(o.Seed)), o.Meter)
+				// One generator across all colours, so each race draws
+				// where the previous one stopped.
+				rng := rand.New(rand.NewSource(o.Seed))
+				return core.DecomposeContext(ctx, g, func(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
+					return CarveContext(ctx, g, nodes, eps, rng, m)
+				}, o.Meter)
 			},
 		}
 	})

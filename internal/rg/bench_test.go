@@ -8,7 +8,7 @@ import (
 
 // BenchmarkCarve carves two inputs at the weak ε that Theorem 2.1 derives
 // from ε = 1/2 on the whole graph: ε/(2⌈log₂ n⌉), the value
-// core.StrongCarve hands its first weak-carver call. gnp is the
+// core.StrongCarveContext hands its first weak-carver call. gnp is the
 // big-gnp-12000 fixture input, where most phases seed by push; strip is
 // one 1000×10 grid of decompose-strips, where most seed by pull.
 // Iterations after the first take the carver state from its pool, so over

@@ -10,8 +10,10 @@ import (
 	"context"
 
 	"strongdecomp/internal/cluster"
+	"strongdecomp/internal/core"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/registry"
+	"strongdecomp/internal/rounds"
 )
 
 func init() {
@@ -32,7 +34,9 @@ func init() {
 				return CarveContext(ctx, g, o.Nodes, o.Meter)
 			},
 			DecomposeFunc: func(ctx context.Context, g *graph.Graph, o registry.RunOptions) (*cluster.Decomposition, error) {
-				return DecomposeContext(ctx, g, o.Meter)
+				return core.DecomposeContext(ctx, g, func(ctx context.Context, g *graph.Graph, nodes []int, _ float64, m *rounds.Meter) (*cluster.Carving, error) {
+					return CarveContext(ctx, g, nodes, m)
+				}, o.Meter)
 			},
 		}
 	})

@@ -1,12 +1,14 @@
 // Package seqcarve implements the classic sequential ball-growing carving of
 // [LS93]/[ABCP96] in two roles:
 //
-//   - Carve: the global sequential baseline. Repeatedly grow a ball around
-//     the minimum-id live node until a radius r with |B(r+1)| <= 2|B(r)|
-//     (r <= log₂ n), emit B(r), and kill the shell. As a distributed
-//     algorithm this is the "one cluster at a time" strawman whose round
-//     complexity scales with the number of clusters — the benchmark
-//     harness uses it to show why the paper's parallel transformation wins.
+//   - CarveContext: the global sequential baseline. Repeatedly grow a ball
+//     around the minimum-id live node until a radius r with
+//     |B(r+1)| <= 2|B(r)| (r <= log₂ n), emit B(r), and kill the shell;
+//     core.DecomposeContext iterates it into a decomposition. As a
+//     distributed algorithm this is the "one cluster at a time" strawman
+//     whose round complexity scales with the number of clusters — the
+//     benchmark harness uses it to show why the paper's parallel
+//     transformation wins.
 //   - ABCPTransform: the transformation of Awerbuch, Berger, Cowen, and
 //     Peleg [ABCP96] that the paper's Section 1.4 recaps: run a weak
 //     decomposition on the power graph G^(2d), gather the topology of each
@@ -27,20 +29,15 @@ import (
 	"strongdecomp/internal/rounds"
 )
 
-// Carve computes a strong-diameter ball carving of the subgraph induced by
-// nodes (nil = all of g) removing at most half of them — the sequential
-// eps = 1/2 growth argument. Cluster diameters are at most 2·log₂ n.
+// CarveContext computes a strong-diameter ball carving of the subgraph
+// induced by nodes (nil = all of g) removing at most half of them — the
+// sequential eps = 1/2 growth argument. Cluster diameters are at most
+// 2·log₂ n.
 //
 // Rounds are charged per emitted ball: a BFS of depth r* + 2 plus the O(D)
 // coordination to locate the next live minimum-id center, which is what
-// makes this baseline slow when there are many clusters.
-func Carve(g *graph.Graph, nodes []int, m *rounds.Meter) *cluster.Carving {
-	c, _ := CarveContext(context.Background(), g, nodes, m)
-	return c
-}
-
-// CarveContext is Carve with cancellation observed before every emitted
-// ball; a background context never fails.
+// makes this baseline slow when there are many clusters. Cancellation is
+// observed before every emitted ball; a background context never fails.
 func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, m *rounds.Meter) (*cluster.Carving, error) {
 	n := g.N()
 	if nodes == nil {
@@ -92,61 +89,6 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, m *rounds.Me
 		m.Charge("seq/coordinate", diamApprox+1)
 	}
 	return &cluster.Carving{Assign: assign, K: k, Centers: centers}, nil
-}
-
-// Decompose iterates Carve with color-per-iteration, yielding the
-// sequential-baseline strong-diameter decomposition with <= log₂ n + 1
-// colors and diameter <= 2 log₂ n.
-func Decompose(g *graph.Graph, m *rounds.Meter) *cluster.Decomposition {
-	d, _ := DecomposeContext(context.Background(), g, m)
-	return d
-}
-
-// DecomposeContext is Decompose with cancellation observed inside every
-// carving iteration; a background context never fails.
-func DecomposeContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
-	n := g.N()
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = cluster.Unclustered
-	}
-	var (
-		color   []int
-		centers []int
-		k       int
-	)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for iter := 0; len(remaining) > 0; iter++ {
-		c, err := CarveContext(ctx, g, remaining, m)
-		if err != nil {
-			return nil, err
-		}
-		for i, members := range c.Members() {
-			for _, v := range members {
-				assign[v] = k
-			}
-			color = append(color, iter)
-			centers = append(centers, c.Centers[i])
-			k++
-		}
-		var rest []int
-		for _, v := range remaining {
-			if assign[v] == cluster.Unclustered {
-				rest = append(rest, v)
-			}
-		}
-		remaining = rest
-	}
-	colors := 0
-	for _, col := range color {
-		if col+1 > colors {
-			colors = col + 1
-		}
-	}
-	return &cluster.Decomposition{Assign: assign, Color: color, K: k, Colors: colors, Centers: centers}, nil
 }
 
 // ABCPStats reports the message-size behavior of the ABCP96 transformation.

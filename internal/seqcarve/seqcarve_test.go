@@ -1,11 +1,13 @@
 package seqcarve
 
 import (
+	"context"
 	"testing"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/core"
 	"strongdecomp/internal/graph"
+	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
@@ -20,7 +22,10 @@ func TestCarveInvariants(t *testing.T) {
 	}
 	for name, g := range tests {
 		t.Run(name, func(t *testing.T) {
-			c := Carve(g, nil, nil)
+			c, err := CarveContext(context.Background(), g, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := cluster.CheckCarving(g, nil, c, 0.5, 2*log2ceil(g.N())); err != nil {
 				t.Fatal(err)
 			}
@@ -33,8 +38,13 @@ func TestCarveRoundsScaleWithClusterCount(t *testing.T) {
 	// must charge far more coordination rounds than a complete graph (one
 	// ball).
 	mPath, mComplete := rounds.NewMeter(), rounds.NewMeter()
-	Carve(graph.Path(400), nil, mPath)
-	Carve(graph.Complete(400), nil, mComplete)
+	ctx := context.Background()
+	if _, err := CarveContext(ctx, graph.Path(400), nil, mPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CarveContext(ctx, graph.Complete(400), nil, mComplete); err != nil {
+		t.Fatal(err)
+	}
 	if mPath.Rounds() <= mComplete.Rounds() {
 		t.Fatalf("sequential baseline should be slow on many clusters: path=%d complete=%d",
 			mPath.Rounds(), mComplete.Rounds())
@@ -43,7 +53,14 @@ func TestCarveRoundsScaleWithClusterCount(t *testing.T) {
 
 func TestDecomposeValid(t *testing.T) {
 	g := graph.ConnectedGnp(140, 0.04, 7)
-	d := Decompose(g, nil)
+	alg, err := registry.Lookup("sequential")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := alg.Decompose(context.Background(), g, &registry.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cluster.CheckDecomposition(g, d, 2*log2ceil(g.N()), true); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +71,10 @@ func TestDecomposeValid(t *testing.T) {
 
 func TestCarveSubsetOnly(t *testing.T) {
 	g := graph.Path(30)
-	c := Carve(g, []int{0, 1, 2, 3, 4}, nil)
+	c, err := CarveContext(context.Background(), g, []int{0, 1, 2, 3, 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 5; v < 30; v++ {
 		if c.Assign[v] != cluster.Unclustered {
 			t.Fatalf("node %d outside subset assigned", v)
@@ -66,7 +86,7 @@ func TestABCPTransformProducesValidCarving(t *testing.T) {
 	g := graph.Grid(8, 8)
 	m := rounds.NewMeter()
 	c, stats, err := ABCPTransform(g, func(p *graph.Graph, pm *rounds.Meter) (*cluster.Decomposition, error) {
-		return core.DecomposeRG(p, pm)
+		return core.DecomposeRGContext(context.Background(), p, pm)
 	}, m)
 	if err != nil {
 		t.Fatal(err)

@@ -21,22 +21,47 @@ func TestAlgorithmsListsAllConstructions(t *testing.T) {
 	}
 }
 
+// TestLookupEveryRegisteredConstruction runs every registered
+// decomposition through the registry, on a grid and on the disconnected
+// fixture graph, and pins the centres, which the golden fixtures do not:
+// one per cluster, and for strong-diameter constructions a member of its
+// own cluster. A weak carving's centre may be a Steiner root outside its
+// cluster, so weak entries are held only to the count.
 func TestLookupEveryRegisteredConstruction(t *testing.T) {
-	g := GridGraph(8, 8)
-	for _, name := range Algorithms() {
-		d, err := Lookup(name)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
-		}
-		if d.Info().Name != name {
-			t.Fatalf("Lookup(%q) reports name %q", name, d.Info().Name)
-		}
-		dec, err := d.Decompose(context.Background(), g, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := VerifyDecomposition(g, dec, -1, false); err != nil {
-			t.Fatalf("%s produced invalid decomposition: %v", name, err)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		opts *RunOptions
+	}{
+		{"grid", GridGraph(8, 8), nil},
+		{"fixture", fixtureGraph(), &RunOptions{Seed: 42}},
+	} {
+		for _, name := range Algorithms() {
+			d, err := Lookup(name)
+			if err != nil {
+				t.Fatalf("Lookup(%q): %v", name, err)
+			}
+			if d.Info().Name != name {
+				t.Fatalf("Lookup(%q) reports name %q", name, d.Info().Name)
+			}
+			dec, err := d.Decompose(context.Background(), tc.g, tc.opts)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, tc.name, err)
+			}
+			if err := VerifyDecomposition(tc.g, dec, -1, false); err != nil {
+				t.Fatalf("%s produced invalid decomposition on %s: %v", name, tc.name, err)
+			}
+			if len(dec.Centers) != dec.K {
+				t.Fatalf("%s on %s: %d centres for %d clusters", name, tc.name, len(dec.Centers), dec.K)
+			}
+			if d.Info().Diameter != "strong" {
+				continue
+			}
+			for i, c := range dec.Centers {
+				if dec.Assign[c] != i {
+					t.Fatalf("%s on %s: centre %d of cluster %d lies in cluster %d", name, tc.name, c, i, dec.Assign[c])
+				}
+			}
 		}
 	}
 }
