@@ -18,6 +18,14 @@ import (
 // orientations are canonicalized away by the graph builder. Edges stream
 // straight into the builder's packed edge buffer — no intermediate edge
 // list is materialized.
+//
+// A line of two short decimal digit runs amid ASCII whitespace (the lines
+// WriteEdgeList emits, and nearly every line of real input) is
+// parsed straight from the scanner's buffer without allocating; every
+// other line — comments, directives, signs, non-ASCII bytes, long digit
+// runs, a wrong field count — takes the general string path, so accepted
+// inputs, rejected inputs and error texts are those of the string parser
+// alone.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := lineScanner(r)
 	b := graph.NewAutoBuilder() // infers node count as max endpoint + 1
@@ -25,29 +33,24 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if text[0] == '#' || text[0] == '%' {
-			if d, ok, err := edgeListDirective(text); err != nil {
-				return nil, fmt.Errorf("edgelist line %d: %w", line, err)
-			} else if ok {
-				declared = d
+		u, v, ok := parseEdgeBytes(sc.Bytes())
+		if !ok {
+			text := strings.TrimSpace(sc.Text())
+			if text == "" {
+				continue
 			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("edgelist line %d: want 2 fields \"u v\", got %d", line, len(fields))
-		}
-		u, err := parseNode(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: %w", line, err)
-		}
-		v, err := parseNode(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("edgelist line %d: %w", line, err)
+			if text[0] == '#' || text[0] == '%' {
+				if d, ok, err := edgeListDirective(text); err != nil {
+					return nil, fmt.Errorf("edgelist line %d: %w", line, err)
+				} else if ok {
+					declared = d
+				}
+				continue
+			}
+			var err error
+			if u, v, err = parseEdgeFields(text); err != nil {
+				return nil, fmt.Errorf("edgelist line %d: %w", line, err)
+			}
 		}
 		if u == v {
 			return nil, fmt.Errorf("edgelist line %d: self-loop at node %d", line, u)
@@ -66,6 +69,76 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("edgelist: %w", err)
 	}
 	return g, nil
+}
+
+// maxFastDigits is the longest digit run parseEdgeBytes reads: every id
+// below MaxNodes (2^24, eight digits) fits, and no eight-digit run can
+// overflow an int.
+const maxFastDigits = 8
+
+// parseEdgeBytes is ReadEdgeList's allocation-free path. It accepts
+// exactly the lines made of ASCII whitespace and two runs of at most
+// maxFastDigits decimal digits, each below MaxNodes, and returns the two
+// ids — on such a line the string path (TrimSpace, Fields, parseNode)
+// yields the same ids and no error. Every other line reports !ok and is
+// left to the string path. (Digit runs are maximal, so the two runs are
+// always apart: a byte that is neither digit nor space ends the parse.)
+func parseEdgeBytes(line []byte) (int, int, bool) {
+	u, i, ok := scanNodeID(line, skipASCIISpace(line, 0))
+	if !ok {
+		return 0, 0, false
+	}
+	v, i, ok := scanNodeID(line, skipASCIISpace(line, i))
+	if !ok || skipASCIISpace(line, i) != len(line) {
+		return 0, 0, false
+	}
+	return u, v, true
+}
+
+// scanNodeID reads the digit run starting at line[i] and returns its value
+// and the index after it; ok is false for an empty run, a run longer than
+// maxFastDigits, or a value of MaxNodes or more.
+func scanNodeID(line []byte, i int) (id, next int, ok bool) {
+	start := i
+	for i < len(line) && '0' <= line[i] && line[i] <= '9' {
+		if i-start == maxFastDigits {
+			return 0, i, false
+		}
+		id = id*10 + int(line[i]-'0')
+		i++
+	}
+	return id, i, i > start && id < MaxNodes
+}
+
+// skipASCIISpace returns the index of the first byte at or after i that is
+// not ASCII whitespace.
+func skipASCIISpace(line []byte, i int) int {
+	for i < len(line) && isASCIISpace(line[i]) {
+		i++
+	}
+	return i
+}
+
+// isASCIISpace reports the ASCII bytes strings.TrimSpace and
+// strings.Fields treat as whitespace.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// parseEdgeFields is the string path's "u v" parser: exactly two fields,
+// each a node id parseNode accepts.
+func parseEdgeFields(text string) (u, v int, err error) {
+	fields := strings.Fields(text)
+	if len(fields) != 2 {
+		return 0, 0, fmt.Errorf("want 2 fields \"u v\", got %d", len(fields))
+	}
+	if u, err = parseNode(fields[0]); err != nil {
+		return 0, 0, err
+	}
+	if v, err = parseNode(fields[1]); err != nil {
+		return 0, 0, err
+	}
+	return u, v, nil
 }
 
 // edgeListDirective recognizes "# n <count>" (or "% n <count>") and returns

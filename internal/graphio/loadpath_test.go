@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 // TestLoadCSRAllocsIndependentOfSize pins the snapshot load path's
 // allocation count: LoadCSR maps the file and aliases the mapped pages as
 // the CSR arrays, so it allocates a constant handful of objects at any n
-// (9 at each n below, against 655,809 for the edge-list parse of a
-// 2^16-node graph).
+// (9 at each n below; the edge-list parse of the 2^16-node graph makes
+// 44, whose bytes grow with n + m).
 func TestLoadCSRAllocsIndependentOfSize(t *testing.T) {
 	dir := t.TempDir()
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
@@ -34,7 +35,8 @@ func TestLoadCSRAllocsIndependentOfSize(t *testing.T) {
 // TestLoadCSRBeatsTextParse is the reason the snapshot format exists: a
 // graph is parsed once, spilled, and every later boot reopens it. Opening
 // the snapshot must beat parsing the edge list, the fastest text format,
-// from the same page-cache state. The measured gap at n = 2^14 is about 6x.
+// from the same page-cache state. The measured gap at n = 2^14 is about
+// 2.5x.
 func TestLoadCSRBeatsTextParse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime slows the two loaders by different factors")
@@ -71,5 +73,33 @@ func TestLoadCSRBeatsTextParse(t *testing.T) {
 	if snap.NsPerOp() >= parse.NsPerOp() {
 		t.Fatalf("LoadCSR takes %d ns/op, not faster than the edge-list parse at %d ns/op",
 			snap.NsPerOp(), parse.NsPerOp())
+	}
+}
+
+// TestReadEdgeListAllocsIndependentOfSize pins ReadEdgeList's
+// allocation-free line path: a line of two node ids allocates nothing, so
+// ten times the edges costs only the few extra growth steps of the
+// builder's edge buffer (the string path allocated about 2 objects per
+// line, 180,000 more at the larger size).
+func TestReadEdgeListAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(m int) float64 {
+		g := graph.RandomRegularish(m/4, 8, 7)
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return testing.AllocsPerRun(3, func() {
+			if h, err := ReadEdgeList(bytes.NewReader(data)); err != nil || h.M() != g.M() {
+				t.Fatalf("ReadEdgeList(m=%d): %v", g.M(), err)
+			}
+		})
+	}
+	small, large := allocs(1e4), allocs(1e5)
+	t.Logf("ReadEdgeList allocates %v objects at 10^4 edges, %v at 10^5", small, large)
+	const slack = 16
+	if large > small+slack {
+		t.Fatalf("ReadEdgeList allocates %v objects at 10^5 edges against %v at 10^4, want at most %d more",
+			large, small, slack)
 	}
 }

@@ -27,7 +27,6 @@ package graphio
 // serving them.
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -79,6 +78,11 @@ const maxSnapshotEdges = 1 << 33
 // wordBytes is the on-disk size of one offsets/targets element.
 const wordBytes = 8
 
+// writeChunk is the size of WriteCSR's encode buffer. It and the header
+// are multiples of wordBytes, so the buffer fills exactly and a word never
+// straddles a flush.
+const writeChunk = 64 << 10
+
 // hostIsCastable reports whether this machine can reinterpret the on-disk
 // little-endian int64 payload as in-memory []int64/[]int without a
 // conversion pass: 64-bit ints and little-endian byte order.
@@ -94,38 +98,45 @@ func snapshotSize(n, m int) int64 {
 }
 
 // WriteCSR writes g to w as a binary CSR snapshot (version
-// SnapshotVersion), including the trailing SHA-256 checksum.
+// SnapshotVersion), including the trailing SHA-256 checksum. Header and
+// words are encoded into one chunk buffer, and each full chunk is hashed
+// and written in one call.
 func WriteCSR(w io.Writer, g *graph.Graph) error {
 	h := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16)
-
-	var hdr [snapshotHeaderLen]byte
-	copy(hdr[0:8], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], SnapshotVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], 0) // flags: reserved
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.N()))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(g.M()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("graphio: write snapshot header: %w", err)
+	buf := make([]byte, 0, writeChunk)
+	flush := func() error {
+		h.Write(buf)
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
 	}
+
+	buf = append(buf, snapshotMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, SnapshotVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags: reserved
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.N()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.M()))
 
 	offsets, targets := g.CSR()
-	var buf [wordBytes]byte
 	for _, o := range offsets {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("graphio: write snapshot offsets: %w", err)
+		if len(buf) == writeChunk {
+			if err := flush(); err != nil {
+				return fmt.Errorf("graphio: write snapshot offsets: %w", err)
+			}
 		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(o))
 	}
 	for _, t := range targets {
-		binary.LittleEndian.PutUint64(buf[:], uint64(t))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("graphio: write snapshot targets: %w", err)
+		if len(buf) == writeChunk {
+			if err := flush(); err != nil {
+				return fmt.Errorf("graphio: write snapshot targets: %w", err)
+			}
 		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
 	}
-	// The checksum covers header + payload; flush them into the hash
-	// before reading its sum, then append the footer (not hashed).
-	if err := bw.Flush(); err != nil {
+	// The checksum covers header + payload; the footer itself is not
+	// hashed.
+	if err := flush(); err != nil {
 		return fmt.Errorf("graphio: write snapshot: %w", err)
 	}
 	if _, err := w.Write(h.Sum(nil)); err != nil {
@@ -357,16 +368,19 @@ func SaveCSR(path string, g *graph.Graph) error {
 	if err != nil {
 		return fmt.Errorf("graphio: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteCSR(tmp, g); err != nil {
-		tmp.Close()
-		return err
+	err = WriteCSR(tmp, g)
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("graphio: %w", cerr)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("graphio: %w", err)
+	if err == nil {
+		if rerr := os.Rename(tmp.Name(), path); rerr != nil {
+			err = fmt.Errorf("graphio: %w", rerr)
+		}
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("graphio: %w", err)
+	if err != nil {
+		// Only a failed step leaves the temp file; after a successful
+		// rename its name is gone, and removing it would always fail.
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }

@@ -245,3 +245,32 @@ func TestSnapshotHugeHeaderNoAllocation(t *testing.T) {
 		t.Fatalf("truncated huge-header snapshot allocated %d bytes", grown)
 	}
 }
+
+// TestSaveCSRLeavesNoTempFile: a successful SaveCSR leaves only the
+// snapshot, and one whose rename fails (the target is a non-empty
+// directory) returns the error and removes its temp file.
+func TestSaveCSRLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Grid(3, 4)
+	if err := SaveCSR(filepath.Join(dir, "g.csr"), g); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, "blocked.csr")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCSR(blocked, g); err == nil {
+		t.Fatal("SaveCSR onto a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"blocked.csr", "g.csr"}) {
+		t.Fatalf("directory holds %v, want only blocked.csr and g.csr", names)
+	}
+}

@@ -41,6 +41,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,6 +51,7 @@ import (
 	"sync"
 	"time"
 
+	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/obs"
 	"strongdecomp/internal/registry"
@@ -262,7 +264,33 @@ type graphResponse struct {
 	M    int    `json:"m"`
 }
 
+// uploadKey is the context key WithParsedUpload stores a parsedUpload
+// under.
+type uploadKey struct{}
+
+// parsedUpload is an upload body's graph and its content hash.
+type parsedUpload struct {
+	g    *graph.Graph
+	hash string
+}
+
+// WithParsedUpload returns a copy of ctx carrying g, the graph a POST
+// /v1/graphs body parses to, and hash, its content hash. The handler
+// serving that upload under the returned context stores g under hash
+// instead of parsing and hashing the body again; the cluster proxy, which
+// parses an upload to learn where to route it, hands its parse to the
+// local handler this way. The caller vouches that g is the body's graph
+// and hash is graphio.Hash(g).
+func WithParsedUpload(ctx context.Context, g *graph.Graph, hash string) context.Context {
+	return context.WithValue(ctx, uploadKey{}, parsedUpload{g: g, hash: hash})
+}
+
 func (a *api) putGraph(w http.ResponseWriter, r *http.Request) {
+	if up, ok := r.Context().Value(uploadKey{}).(parsedUpload); ok {
+		a.svc.PutHashedGraph(up.hash, up.g)
+		writeJSON(w, http.StatusOK, graphResponse{Hash: up.hash, N: up.g.N(), M: up.g.M()})
+		return
+	}
 	format := graphio.FormatJSON
 	if name := r.URL.Query().Get("format"); name != "" {
 		var err error

@@ -107,6 +107,41 @@ func TestServiceHTTPAlgorithms(t *testing.T) {
 	}
 }
 
+// TestUploadUsesParsedGraphFromContext: an upload served under
+// WithParsedUpload stores the carried graph under the carried hash and
+// never reads the body — garbage bytes still answer 200 — which is how
+// the cluster proxy's parse stands in for a second one.
+func TestUploadUsesParsedGraphFromContext(t *testing.T) {
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	g := graph.Grid(3, 5)
+	hash := graphio.Hash(g)
+	req := httptest.NewRequest(http.MethodPost, "/v1/graphs?format=edgelist", strings.NewReader("not a graph"))
+	req = req.WithContext(WithParsedUpload(req.Context(), g, hash))
+	rec := httptest.NewRecorder()
+	New(svc).ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var up struct {
+		Hash string `json:"hash"`
+		N    int    `json:"n"`
+		M    int    `json:"m"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &up); err != nil {
+		t.Fatal(err)
+	}
+	if up.Hash != hash || up.N != g.N() || up.M != g.M() {
+		t.Fatalf("answered %+v, want hash %s n=%d m=%d", up, hash, g.N(), g.M())
+	}
+	if got, ok := svc.GetGraph(hash); !ok || got != g {
+		t.Fatal("the carried graph was not stored under its hash")
+	}
+}
+
 func TestServiceHTTPUploadAndCompute(t *testing.T) {
 	srv, algo := newTestServer(t)
 	g := graph.Cycle(10)

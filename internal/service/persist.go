@@ -499,15 +499,19 @@ func writeFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		// Only a failed step leaves the temp file; after a successful
+		// rename its name is gone, and removing it would always fail.
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // PersistStats is the disk-tier block of a Stats snapshot; present only

@@ -126,10 +126,10 @@ type ClusterHooks struct {
 	// OnResultComputed fires after a freshly computed (not cached, not
 	// peer-served) result has been admitted to the local tiers.
 	OnResultComputed func(graphHash string, paramsKey string, res *Result)
-	// OnGraphStored fires after PutGraph admits a graph to the local
-	// tiers. It does not fire for graphs admitted via AdmitGraph, which
-	// is how replicated copies arrive — again to keep replication
-	// one-directional.
+	// OnGraphStored fires after PutGraph or PutHashedGraph admits a
+	// graph to the local tiers. It does not fire for graphs admitted via
+	// AdmitGraph, which is how replicated copies arrive — again to keep
+	// replication one-directional.
 	OnGraphStored func(graphHash string, g *graph.Graph)
 }
 
@@ -325,24 +325,31 @@ func (s *Service) Carve(ctx context.Context, req *Request) (*Result, error) {
 // the graph is also spilled to a binary CSR snapshot so it survives both
 // LRU eviction and process restarts.
 func (s *Service) PutGraph(g *graph.Graph) string {
-	hash := s.AdmitGraph(g)
-	if h := s.cfg.Cluster.OnGraphStored; h != nil {
-		h(hash, g)
-	}
+	hash := graphio.Hash(g)
+	s.PutHashedGraph(hash, g)
 	return hash
 }
 
-// AdmitGraph stores g in the local tiers (memory, and disk when
-// configured) exactly like PutGraph but without firing the cluster's
-// OnGraphStored hook — the admission path for graph replicas arriving
-// from peers, which must not be re-replicated onward.
-func (s *Service) AdmitGraph(g *graph.Graph) string {
-	hash := graphio.Hash(g)
+// PutHashedGraph is PutGraph for a caller that already holds g's content
+// hash: hash must be graphio.Hash(g), and is not recomputed. The cluster
+// proxy, which hashes an upload to route it, stores it this way.
+func (s *Service) PutHashedGraph(hash string, g *graph.Graph) {
+	s.AdmitGraph(hash, g)
+	if h := s.cfg.Cluster.OnGraphStored; h != nil {
+		h(hash, g)
+	}
+}
+
+// AdmitGraph stores g under its content hash in the local tiers (memory,
+// and disk when configured) exactly like PutHashedGraph but without firing
+// the cluster's OnGraphStored hook — the admission path for graph replicas
+// arriving from peers, which must not be re-replicated onward. hash must
+// be graphio.Hash(g); a replica's receiver has verified it already.
+func (s *Service) AdmitGraph(hash string, g *graph.Graph) {
 	s.graphs.put(hash, g)
 	if s.persist != nil {
 		s.persist.saveGraph(hash, g)
 	}
-	return hash
 }
 
 // GetGraph returns the stored graph for a content hash, falling through

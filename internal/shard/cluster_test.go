@@ -282,6 +282,81 @@ func TestClusterProxyRoutesToOwner(t *testing.T) {
 	}
 }
 
+// TestClusterEdgeListUploadOwnerAndNonOwner sends one edge list to the
+// ring owner directly and to a shard that neither owns nor replicates it.
+// Both answer with the same hash, n and m; the owner serves its upload
+// locally (the proxy's parse handed to the local handler), the graph lands
+// on the owner and then on its replica, and the non-owner only routes.
+func TestClusterEdgeListUploadOwnerAndNonOwner(t *testing.T) {
+	algo, _ := registerShardStub(t)
+	shards := newTestCluster(t, 3, algo)
+	g := graph.Grid(6, 7)
+	hash := graphio.Hash(g)
+	var el bytes.Buffer
+	if err := graphio.WriteEdgeList(&el, g); err != nil {
+		t.Fatal(err)
+	}
+
+	ring := shards[0].cluster.Ring()
+	owner := shardIndex(t, shards, ring.Owner(hash).ID)
+	replica := shardIndex(t, shards, ring.Successors(hash, 2, nil)[1].ID)
+	other := 3 - owner - replica
+
+	upload := func(sh *testShard) {
+		t.Helper()
+		resp, err := http.Post(sh.srv.URL+"/v1/graphs?format=edgelist", "text/plain", bytes.NewReader(el.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload via %s: status %d: %s", sh.member.ID, resp.StatusCode, body)
+		}
+		var up struct {
+			Hash string `json:"hash"`
+			N    int    `json:"n"`
+			M    int    `json:"m"`
+		}
+		decodeWire(t, body, &up)
+		if up.Hash != hash || up.N != g.N() || up.M != g.M() {
+			t.Fatalf("upload via %s answered hash %s n=%d m=%d, want %s n=%d m=%d",
+				sh.member.ID, up.Hash, up.N, up.M, hash, g.N(), g.M())
+		}
+	}
+
+	before := shards[owner].cluster.Stats()
+	upload(shards[owner])
+	after := shards[owner].cluster.Stats()
+	if after["served_local_total"] != before["served_local_total"]+1 {
+		t.Fatalf("owner upload: served_local_total %d -> %d, want one more",
+			before["served_local_total"], after["served_local_total"])
+	}
+	if after["proxied_total"] != before["proxied_total"] {
+		t.Fatal("owner upload was proxied")
+	}
+	if got, ok := shards[owner].svc.GetGraph(hash); !ok || graphio.Hash(got) != hash {
+		t.Fatal("owner upload did not land on the owner")
+	}
+	waitFor(t, "the replica to receive the graph", func() bool {
+		_, ok := shards[replica].svc.GetGraph(hash)
+		return ok
+	})
+
+	before = shards[other].cluster.Stats()
+	upload(shards[other])
+	if st := shards[other].cluster.Stats(); st["proxied_total"] != before["proxied_total"]+1 {
+		t.Fatalf("non-owner upload: proxied_total %d -> %d, want one more",
+			before["proxied_total"], st["proxied_total"])
+	}
+	if _, ok := shards[other].svc.GetGraph(hash); ok {
+		t.Fatal("the non-owner stored the graph it only routed")
+	}
+}
+
 // TestClusterKillOwnerServesReplicatedResult is the resilience
 // acceptance test: upload + decompose through a coordinator, kill the
 // owning shard, and the result — replicated to the ring successor at

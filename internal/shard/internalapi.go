@@ -73,7 +73,9 @@ func (p *proxy) internalCachePut(w http.ResponseWriter, r *http.Request) {
 // internalGraphPut serves PUT /internal/graphs/{hash}: replica
 // admission of a graph snapshot pushed by a peer. The body is a CSR
 // snapshot; its content hash must match the path, so a corrupt or
-// misdirected push cannot poison the store under a wrong name.
+// misdirected push cannot poison the store under a wrong name. The hash
+// computed for that check is the only one: the graph is admitted under
+// the verified path hash.
 func (p *proxy) internalGraphPut(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBodyBytes))
@@ -90,7 +92,7 @@ func (p *proxy) internalGraphPut(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("snapshot hash %s does not match path %s", got, hash))
 		return
 	}
-	p.svc.AdmitGraph(g)
+	p.svc.AdmitGraph(hash, g)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -257,8 +257,11 @@ func (p *proxy) compute(w http.ResponseWriter, r *http.Request) {
 	p.routeByKey(w, r, body, key)
 }
 
-// putGraph routes POST /v1/graphs: the body is parsed once to learn the
-// content hash (the routing key), then relayed verbatim to the owner.
+// putGraph routes POST /v1/graphs: the body is parsed and hashed once to
+// learn the content hash (the routing key). An owner elsewhere gets the
+// body verbatim and parses it once itself; when this shard owns the graph,
+// the parse and the hash ride to the local handler on the request context
+// (httpapi.WithParsedUpload), so the body is not parsed or hashed again.
 func (p *proxy) putGraph(w http.ResponseWriter, r *http.Request) {
 	format := graphio.FormatJSON
 	if name := r.URL.Query().Get("format"); name != "" {
@@ -277,7 +280,8 @@ func (p *proxy) putGraph(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	p.routeByKey(w, r, body, graphio.Hash(g))
+	hash := graphio.Hash(g)
+	p.routeByKey(w, r.WithContext(httpapi.WithParsedUpload(r.Context(), g, hash)), body, hash)
 }
 
 // byHashPath routes GET /v1/graphs/{hash} by its path hash.
