@@ -17,7 +17,9 @@
 //
 // Internally the flag set resolves into one canonical strongdecomp.Params
 // executed with strongdecomp.Run — the same request value the serving
-// layer validates and caches on.
+// layer validates and caches on, run on the same Engine path (connected
+// components decomposed separately and merged), so the server at the same
+// seed answers with the same document.
 //
 // Usage:
 //

@@ -266,7 +266,7 @@ func run() error {
 	// routing here, stop accepting and drain in-flight HTTP within the
 	// grace period, then let queued/running async jobs finish (bounded
 	// by the job TTL — the longest a client would wait for one anyway)
-	// before the deferred svc.Close tears down the engines under them.
+	// before the deferred svc.Close tears down the engine under them.
 	logger.Info("signal received, draining", slog.Duration("grace", *grace))
 	draining.Store(true)
 	if cluster != nil {

@@ -3,10 +3,11 @@
 // non-adjacency, diameter bounds, dead fraction) from the JSON document on
 // stdin and exits non-zero on any violation.
 //
-// With -rerun it additionally resolves the document's algorithm in the
-// registry and re-executes it with the recorded seed: every registered
-// construction is deterministic given its seed, so the reproduced
-// assignment must match the document exactly.
+// With -rerun it additionally re-executes the document's Params (algorithm,
+// mode, eps, seed) through strongdecomp.Run, the path decompose itself
+// takes: every registered construction is deterministic given its seed, so
+// the reproduced assignment, cluster count, colors and color count must
+// match the document exactly.
 //
 // With -input the host graph is loaded from a file (edge list, METIS,
 // JSON, or a binary .csr snapshot, detected by extension — snapshots open
@@ -145,41 +146,52 @@ func hostGraph(doc *document, input string) (*strongdecomp.Graph, error) {
 	return g, nil
 }
 
-// rerunCheck reproduces the document's run through the registry and demands
-// bit-identical assignments — the strongest cross-check available because
-// every registered construction is deterministic in its seed.
+// rerunCheck reproduces the document's run through strongdecomp.Run with
+// the document's Params and demands a bit-identical result — assignment,
+// cluster count, and for decompositions the cluster colors and color
+// count — the strongest cross-check available because every registered
+// construction is deterministic in its seed.
 func rerunCheck(g *strongdecomp.Graph, doc *document) error {
-	d, err := strongdecomp.Lookup(doc.Algo)
+	p := strongdecomp.Params{Algorithm: doc.Algo, Kind: strongdecomp.KindDecompose, Seed: doc.Seed}
+	if doc.Mode == "carve" {
+		p.Kind, p.Eps = strongdecomp.KindCarve, doc.Eps
+		if p.Eps == 0 {
+			p.Eps = 1 // same default the base verification applies
+		}
+	}
+	out, err := strongdecomp.Run(context.Background(), g, p)
 	if err != nil {
 		return fmt.Errorf("rerun: %w", err)
 	}
-	opts := &strongdecomp.RunOptions{Seed: doc.Seed}
-	var got []int
-	switch doc.Mode {
-	case "carve":
-		eps := doc.Eps
-		if eps == 0 {
-			eps = 1 // same default the base verification applies
-		}
-		c, err := d.Carve(context.Background(), g, eps, opts)
-		if err != nil {
-			return fmt.Errorf("rerun: %w", err)
-		}
-		got = c.Assign
-	case "decompose":
-		dec, err := d.Decompose(context.Background(), g, opts)
-		if err != nil {
-			return fmt.Errorf("rerun: %w", err)
-		}
-		got = dec.Assign
+	var got document
+	if out.Carving != nil {
+		got.Assign, got.K = out.Carving.Assign, out.Carving.K
+	} else {
+		d := out.Decomposition
+		got.Assign, got.Color, got.K, got.Colors = d.Assign, d.Color, d.K, d.Colors
 	}
-	if len(got) != len(doc.Assign) {
-		return fmt.Errorf("rerun: %d assignments, document has %d", len(got), len(doc.Assign))
+	if got.K != doc.K || got.Colors != doc.Colors {
+		return fmt.Errorf("rerun: k=%d colors=%d, document says k=%d colors=%d (algo %q, seed %d)",
+			got.K, got.Colors, doc.K, doc.Colors, doc.Algo, doc.Seed)
 	}
-	for v := range got {
-		if got[v] != doc.Assign[v] {
-			return fmt.Errorf("rerun: node %d assigned %d, document says %d (algo %q, seed %d)",
-				v, got[v], doc.Assign[v], doc.Algo, doc.Seed)
+	if err := sameInts("assign", got.Assign, doc.Assign); err != nil {
+		return fmt.Errorf("rerun: %w (algo %q, seed %d)", err, doc.Algo, doc.Seed)
+	}
+	if err := sameInts("color", got.Color, doc.Color); err != nil {
+		return fmt.Errorf("rerun: %w (algo %q, seed %d)", err, doc.Algo, doc.Seed)
+	}
+	return nil
+}
+
+// sameInts reports the first entry at which a reproduced field differs
+// from the document's.
+func sameInts(field string, got, want []int) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d %s entries, document has %d", len(got), field, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("%s[%d] = %d, document says %d", field, i, got[i], want[i])
 		}
 	}
 	return nil

@@ -17,10 +17,13 @@ import (
 
 // Engine executes decompositions at scale: it owns a worker pool and a
 // free list of per-worker scratch buffers, decomposes the connected components
-// of a graph concurrently, and batches runs over many graphs. All methods
-// honor context cancellation and deadlines (returning errors matching
-// ErrCanceled) and are safe for concurrent use from multiple goroutines —
-// one Engine is meant to be shared by a whole serving process.
+// of a graph concurrently, and batches runs over many graphs. It is the one
+// path every Params takes: Run, BallCarve and Decompose run on a per-call
+// Engine, and NewService shares one Engine across every algorithm, so the
+// library, the CLIs and the service answer the same Params identically.
+// All methods honor context cancellation and deadlines (returning errors
+// matching ErrCanceled) and are safe for concurrent use from multiple
+// goroutines — one Engine is meant to be shared by a whole serving process.
 //
 // Per-component parallelism is sound for network decomposition: distinct
 // connected components are non-adjacent, so their decompositions are
@@ -144,6 +147,8 @@ type EngineStats struct {
 	// results to be stitched back together.
 	ComponentMerges int64
 	// InFlight is the number of unit tasks executing at snapshot time.
+	// A pool task is a component of a split run or an item of a batch; a
+	// batch item's own components count as tasks too.
 	InFlight int64
 	// MaxParallel is the highest number of unit tasks observed in flight
 	// simultaneously over the engine's lifetime.
@@ -216,56 +221,40 @@ func (c *stageClock) take() []registry.StageTiming {
 }
 
 // Run executes one canonical Params on the engine: the v2 entry point.
-// The Params is normalized and validated against g before any
-// construction runs (ValidateFor; an empty Algorithm means the engine's
-// configured construction), multi-component graphs run their
-// components concurrently on the worker pool, and metering is opt-in via
-// p.Meter with the total reported on Outcome.Rounds. DecomposeBatch is a
-// thin shim over the same internals.
+// An empty Algorithm means the engine's configured construction; the
+// Params is then normalized and validated against g before any
+// construction runs, multi-component graphs run their components
+// concurrently on the worker pool, and metering is opt-in via p.Meter
+// with the total reported on Outcome.Rounds.
 func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) {
 	if p.Algorithm == "" {
 		p.Algorithm = e.algo
-	}
-	p = p.Normalized()
-	if err := p.ValidateFor(g.N()); err != nil {
-		return nil, err
 	}
 	var meter *rounds.Meter
 	if p.Meter {
 		meter = rounds.NewMeter()
 	}
-	out := &Outcome{Params: p}
 	// The stage clock exists only on instrumented contexts (see
 	// newStageClock), so Outcome.Stages costs nothing when nobody asked.
-	sc := newStageClock(ctx)
-	switch p.Kind {
-	case KindCarve:
-		c, err := e.carve(ctx, g, p, meter, sc)
-		if err != nil {
-			return nil, err
-		}
-		out.Carving = c
-	case KindDecompose:
-		d, err := e.decomposeGraph(ctx, g, p, meter, true, sc)
-		if err != nil {
-			return nil, err
-		}
-		out.Decomposition = d
-	}
-	if meter != nil {
-		out.Rounds = meter.Rounds()
-	}
-	out.Stages = sc.take()
-	return out, nil
+	return e.run(ctx, g, p, meter, newStageClock(ctx))
 }
 
-// carve is the carving core: like decomposeGraph, a multi-component graph
-// (with no Nodes restriction) is carved per component concurrently and
-// merged — each component removes at most an eps fraction of its own
-// nodes, so the merged carving meets the bound too. dst (which may be
-// nil) receives the parallel (max) fold of the per-component costs; sc
-// (which may be nil) receives the phase boundaries.
-func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Carving, error) {
+// run is the one execution path behind Run, DecomposeBatch and the
+// package-level facade. It normalizes and validates p, then splits g into
+// connected components (a carving restricted to p.Nodes is not split). A
+// single component runs on the calling goroutine with the connected hint;
+// several fan out over the worker pool, component i with seed p.Seed+i,
+// and are merged — sound for both kinds, since distinct components are
+// non-adjacent and each carving removes at most an eps fraction of its
+// own component. The kind matters only at the construction call and at
+// the merge. dst (which may be nil) receives the parallel (max) fold of
+// the per-component costs; sc (which may be nil) receives the phase
+// boundaries.
+func (e *Engine) run(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Outcome, error) {
+	p = p.Normalized()
+	if err := p.ValidateFor(g.N()); err != nil {
+		return nil, err
+	}
 	d, err := Lookup(p.Algorithm)
 	if err != nil {
 		return nil, err
@@ -275,70 +264,94 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 		comps = e.components(g)
 	}
 	sc.mark("split")
+	var piece cluster.Piece
 	if len(comps) <= 1 {
 		e.runs.Add(1)
-		// Single component (or explicit node subset): nothing to fan out,
-		// so the construction runs on the calling goroutine. Without a
-		// node subset, g is the one component the split just found.
+		// Without a node subset, g is the one component the split just
+		// found.
 		var connected *Graph
 		if p.Nodes == nil {
 			connected = g
 		}
 		ws := e.getScratch()
-		defer e.putScratch(ws)
-		ctx = core.WithScratch(ctx, ws, connected)
-		c, err := d.Carve(ctx, g, p.Eps, &RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
+		piece, err = construct(core.WithScratch(ctx, ws, connected), d, g, p, &RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
+		e.putScratch(ws)
 		sc.mark("carve-rounds")
-		return c, err
+	} else {
+		piece, err = e.fanOut(ctx, d, g, comps, p, dst, sc)
 	}
-	e.merges.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	out := &Outcome{Params: p, Carving: piece.C, Decomposition: piece.D, Stages: sc.take()}
+	if dst != nil {
+		out.Rounds = dst.Rounds()
+	}
+	return out, nil
+}
 
+// fanOut runs d on every component of g on the worker pool and merges the
+// pieces into one host-graph result.
+func (e *Engine) fanOut(ctx context.Context, d Decomposer, g *Graph, comps [][]int, p Params, dst *rounds.Meter, sc *stageClock) (cluster.Piece, error) {
+	e.merges.Add(1)
 	pieces := make([]cluster.Piece, len(comps))
 	meters := make([]*rounds.Meter, len(comps))
-	err = e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
+	err := e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
 		e.runs.Add(1)
 		ws := e.getScratch()
 		defer e.putScratch(ws)
 		sub, nodeOf := ws.InducedSubgraph(g, comps[i])
-		ctx = core.WithScratch(ctx, ws, sub)
-		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
-		c, err := d.Carve(ctx, sub, p.Eps, ro)
+		meters[i] = rounds.NewMeter()
+		piece, err := construct(core.WithScratch(ctx, ws, sub), d, sub, p, &RunOptions{Seed: p.Seed + int64(i), Meter: meters[i]})
 		if err != nil {
 			return fmt.Errorf("component %d: %w", i, err)
 		}
-		pieces[i] = cluster.Piece{C: c, NodeOf: nodeOf}
-		meters[i] = ro.Meter
+		piece.NodeOf = nodeOf
+		pieces[i] = piece
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return cluster.Piece{}, err
 	}
 	sc.mark("carve-rounds")
 	mergeParallelInto(dst, meters)
-	c, err := cluster.MergeCarvings(g.N(), pieces)
+	var merged cluster.Piece
+	if p.Kind == KindCarve {
+		merged.C, err = cluster.MergeCarvings(g.N(), pieces)
+	} else {
+		merged.D, err = cluster.MergeDecompositions(g.N(), pieces)
+	}
 	sc.mark("merge")
-	return c, err
+	return merged, err
+}
+
+// construct runs d on g for p's kind; the returned piece holds the one
+// result matching the kind.
+func construct(ctx context.Context, d Decomposer, g *Graph, p Params, ro *RunOptions) (cluster.Piece, error) {
+	if p.Kind == KindCarve {
+		c, err := d.Carve(ctx, g, p.Eps, ro)
+		return cluster.Piece{C: c}, err
+	}
+	dec, err := d.Decompose(ctx, g, ro)
+	return cluster.Piece{D: dec}, err
 }
 
 // DecomposeBatch decomposes every graph of the batch on the worker pool and
-// returns the results in input order. Graph i runs with seed opts.Seed + i.
-// The first failure (including cancellation) cancels the remaining work.
+// returns the results in input order. Graph i runs with seed opts.Seed + i,
+// and its components fan out over the pool like any other run's. The
+// first failure (including cancellation) cancels the remaining work.
 func (e *Engine) DecomposeBatch(ctx context.Context, gs []*Graph, opts *RunOptions) ([]*Decomposition, error) {
 	e.batches.Add(1)
 	o := opts.Normalized()
 	out := make([]*Decomposition, len(gs))
 	meters := make([]*rounds.Meter, len(gs))
 	err := e.runPool(ctx, len(gs), func(ctx context.Context, i int) error {
-		p := Params{Algorithm: e.algo, Kind: KindDecompose, Seed: o.Seed + int64(i)}
-		m := rounds.NewMeter()
-		// Components of one batch item run sequentially: batch-level
-		// parallelism already saturates the pool.
-		d, err := e.decomposeGraph(ctx, gs[i], p, m, false, nil)
+		meters[i] = rounds.NewMeter()
+		res, err := e.run(ctx, gs[i], Params{Algorithm: e.algo, Seed: o.Seed + int64(i)}, meters[i], nil)
 		if err != nil {
 			return fmt.Errorf("graph %d: %w", i, err)
 		}
-		out[i] = d
-		meters[i] = m
+		out[i] = res.Decomposition
 		return nil
 	})
 	if err != nil {
@@ -361,65 +374,6 @@ func mergeParallelInto(dst *rounds.Meter, meters []*rounds.Meter) {
 		phase.MergeParallel(m)
 	}
 	dst.Merge(phase)
-}
-
-// decomposeGraph is the decomposition core: it splits g into connected
-// components and runs them in parallel when parallel is set. dst (which
-// may be nil) receives the parallel (max) fold of the per-component
-// costs; sc (which may be nil) receives the phase boundaries.
-func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, parallel bool, sc *stageClock) (*Decomposition, error) {
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	comps := e.components(g)
-	sc.mark("split")
-	if len(comps) <= 1 {
-		e.runs.Add(1)
-		// g is the one component the split just found.
-		ws := e.getScratch()
-		defer e.putScratch(ws)
-		ctx = core.WithScratch(ctx, ws, g)
-		dec, err := d.Decompose(ctx, g, &RunOptions{Seed: p.Seed, Meter: dst})
-		sc.mark("carve-rounds")
-		return dec, err
-	}
-	e.merges.Add(1)
-
-	pieces := make([]cluster.Piece, len(comps))
-	meters := make([]*rounds.Meter, len(comps))
-	runOne := func(ctx context.Context, i int) error {
-		e.runs.Add(1)
-		ws := e.getScratch()
-		defer e.putScratch(ws)
-		sub, nodeOf := ws.InducedSubgraph(g, comps[i])
-		ctx = core.WithScratch(ctx, ws, sub)
-		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
-		dec, err := d.Decompose(ctx, sub, ro)
-		if err != nil {
-			return fmt.Errorf("component %d: %w", i, err)
-		}
-		pieces[i] = cluster.Piece{D: dec, NodeOf: nodeOf}
-		meters[i] = ro.Meter
-		return nil
-	}
-	if parallel {
-		err = e.runPool(ctx, len(comps), runOne)
-	} else {
-		for i := 0; err == nil && i < len(comps); i++ {
-			if err = registry.CtxErr(ctx); err == nil {
-				err = runOne(ctx, i)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	sc.mark("carve-rounds")
-	mergeParallelInto(dst, meters)
-	dec, err := cluster.MergeDecompositions(g.N(), pieces)
-	sc.mark("merge")
-	return dec, err
 }
 
 // runPool executes fn(ctx, 0..n-1) on the engine's worker pool. The first

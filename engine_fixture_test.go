@@ -77,6 +77,70 @@ func TestEngineFixtures(t *testing.T) {
 		t.Logf("rewrote %s with %d fixtures", fixturePath, len(got))
 		return
 	}
+	want := loadFixtures(t)
+	for _, g := range got {
+		w, ok := want[g.Algorithm]
+		if !ok {
+			t.Errorf("%s: no recorded fixture", g.Algorithm)
+			continue
+		}
+		checkFixture(t, g.Algorithm, &Decomposition{Assign: g.Assign, Color: g.Color, K: g.K, Colors: g.Colors}, w)
+	}
+}
+
+// TestEntryPointsMatchEngineFixtures holds every entry point that runs a
+// decomposition to the recorded Engine results on the multi-component
+// fixture graph: Run, the Decompose option facade and the service each
+// return the fixture bit for bit, and Run's metered round count equals
+// Engine.Run's. All of them run through one Engine path, so the
+// components of the fixture graph are decomposed separately (seed 42+i for
+// component i) and merged, never handed to a construction as one graph.
+func TestEntryPointsMatchEngineFixtures(t *testing.T) {
+	want := loadFixtures(t)
+	g := fixtureGraph()
+	ctx := context.Background()
+	svc, err := NewService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, algo := range Algorithms() {
+		w, ok := want[algo]
+		if !ok {
+			t.Errorf("%s: no recorded fixture", algo)
+			continue
+		}
+		p := Params{Algorithm: algo, Seed: 42, Meter: true}
+		viaRun, err := Run(ctx, g, p)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", algo, err)
+		}
+		viaEngine, err := NewEngine().Run(ctx, g, p)
+		if err != nil {
+			t.Fatalf("%s: Engine.Run: %v", algo, err)
+		}
+		if viaRun.Rounds != viaEngine.Rounds {
+			t.Errorf("%s: Run charged %d rounds, Engine.Run %d", algo, viaRun.Rounds, viaEngine.Rounds)
+		}
+		checkFixture(t, algo+" via Run", viaRun.Decomposition, w)
+
+		viaOptions, err := Decompose(g, WithAlgorithmName(algo), WithSeed(42))
+		if err != nil {
+			t.Fatalf("%s: Decompose: %v", algo, err)
+		}
+		checkFixture(t, algo+" via Decompose", viaOptions, w)
+
+		viaService, err := svc.Decompose(ctx, &ServiceRequest{Graph: g, Algo: algo, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: Service.Decompose: %v", algo, err)
+		}
+		checkFixture(t, algo+" via Service", viaService.Decomposition, w)
+	}
+}
+
+// loadFixtures reads the recorded fixtures, keyed by algorithm.
+func loadFixtures(t *testing.T) map[string]engineFixture {
+	t.Helper()
 	data, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatalf("read fixtures (run with -update-fixtures to create): %v", err)
@@ -89,22 +153,21 @@ func TestEngineFixtures(t *testing.T) {
 	for _, f := range want {
 		byName[f.Algorithm] = f
 	}
-	for _, g := range got {
-		w, ok := byName[g.Algorithm]
-		if !ok {
-			t.Errorf("%s: no recorded fixture", g.Algorithm)
-			continue
-		}
-		if g.K != w.K || g.Colors != w.Colors {
-			t.Errorf("%s: got K=%d Colors=%d, fixture K=%d Colors=%d", g.Algorithm, g.K, g.Colors, w.K, w.Colors)
-			continue
-		}
-		if !equalInts(g.Assign, w.Assign) {
-			t.Errorf("%s: assignment differs from fixture", g.Algorithm)
-		}
-		if !equalInts(g.Color, w.Color) {
-			t.Errorf("%s: cluster colors differ from fixture", g.Algorithm)
-		}
+	return byName
+}
+
+// checkFixture reports every way d differs from the recorded fixture w.
+func checkFixture(t *testing.T, label string, d *Decomposition, w engineFixture) {
+	t.Helper()
+	if d.K != w.K || d.Colors != w.Colors {
+		t.Errorf("%s: got K=%d Colors=%d, fixture K=%d Colors=%d", label, d.K, d.Colors, w.K, w.Colors)
+		return
+	}
+	if !equalInts(d.Assign, w.Assign) {
+		t.Errorf("%s: assignment differs from fixture", label)
+	}
+	if !equalInts(d.Color, w.Color) {
+		t.Errorf("%s: cluster colors differ from fixture", label)
 	}
 }
 

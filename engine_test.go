@@ -250,8 +250,8 @@ func engineCarve(ctx context.Context, e *Engine, g *Graph, eps float64, seed int
 }
 
 // TestEngineCarveDelegates checks the carving path of the engine on a
-// connected graph (direct dispatch) and a multi-component graph (parallel
-// per-component carve + merge).
+// connected graph (one component, run on the calling goroutine) and a
+// multi-component graph (parallel per-component carve + merge).
 func TestEngineCarveDelegates(t *testing.T) {
 	e := NewEngine(WithWorkers(2))
 	g := CycleGraph(64)

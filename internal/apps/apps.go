@@ -21,17 +21,12 @@ import (
 	"strongdecomp/internal/rounds"
 )
 
-// MIS computes a maximal independent set of g by the color-by-color
+// MISContext computes a maximal independent set of g by the color-by-color
 // template over the given decomposition. The result is deterministic given
 // the decomposition. It returns the membership vector and charges the
-// simulated schedule cost to the meter.
-func MIS(g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]bool, error) {
-	return MISContext(context.Background(), g, d, m)
-}
-
-// MISContext is MIS with cancellation: the color-by-color main loop
-// checks ctx between colors, so a served app run honors request timeouts
-// and job cancellation. A canceled run fails with an error matching
+// simulated schedule cost to the meter. The main loop checks ctx between
+// colors, so a served app run honors request timeouts and job
+// cancellation; a canceled run fails with an error matching
 // registry.ErrCanceled.
 func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]bool, error) {
 	if len(d.Assign) != g.N() {
@@ -44,13 +39,9 @@ func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		maxDiam := 0
 		for cl := 0; cl < d.K; cl++ {
 			if d.Color[cl] != color {
 				continue
-			}
-			if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
-				maxDiam = diam
 			}
 			for _, v := range members[cl] {
 				ok := true
@@ -66,7 +57,7 @@ func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m
 				decided[v] = true
 			}
 		}
-		m.Charge("apps/mis", 2*int64(maxDiam)+2)
+		m.Charge("apps/mis", 2*int64(maxDiameter(g, d, members, color))+2)
 	}
 	return inMIS, nil
 }
@@ -102,17 +93,12 @@ func VerifyMIS(g *graph.Graph, inMIS []bool) error {
 	return nil
 }
 
-// ColorGraph computes a (Δ+1) vertex coloring of g by the same template:
-// per decomposition color, every cluster greedily colors its nodes with the
-// smallest palette color not used by an already-colored neighbor. Since a
-// node has at most Δ neighbors, Δ+1 colors always suffice.
-func ColorGraph(g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]int, error) {
-	return ColorGraphContext(context.Background(), g, d, m)
-}
-
-// ColorGraphContext is ColorGraph with cancellation: the color-by-color
-// main loop checks ctx between colors. A canceled run fails with an error
-// matching registry.ErrCanceled.
+// ColorGraphContext computes a (Δ+1) vertex coloring of g by the same
+// template: per decomposition color, every cluster greedily colors its
+// nodes with the smallest palette color not used by an already-colored
+// neighbor. Since a node has at most Δ neighbors, Δ+1 colors always
+// suffice. The main loop checks ctx between colors; a canceled run fails
+// with an error matching registry.ErrCanceled.
 func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]int, error) {
 	if len(d.Assign) != g.N() {
 		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
@@ -127,13 +113,9 @@ func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposi
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		maxDiam := 0
 		for cl := 0; cl < d.K; cl++ {
 			if d.Color[cl] != color {
 				continue
-			}
-			if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
-				maxDiam = diam
 			}
 			for _, v := range members[cl] {
 				for i := range palette {
@@ -152,7 +134,7 @@ func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposi
 				}
 			}
 		}
-		m.Charge("apps/coloring", 2*int64(maxDiam)+2)
+		m.Charge("apps/coloring", 2*int64(maxDiameter(g, d, members, color))+2)
 	}
 	return colorOf, nil
 }
@@ -183,16 +165,24 @@ func ScheduleCost(g *graph.Graph, d *cluster.Decomposition) int {
 	members := d.Members()
 	total := 0
 	for color := 0; color < d.Colors; color++ {
-		maxDiam := 0
-		for cl := 0; cl < d.K; cl++ {
-			if d.Color[cl] != color {
-				continue
-			}
-			if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
-				maxDiam = diam
-			}
-		}
-		total += 2*maxDiam + 2
+		total += 2*maxDiameter(g, d, members, color) + 2
 	}
 	return total
+}
+
+// maxDiameter returns the largest strong diameter among the clusters of
+// one color (0 when the color has none) — the coordination time the
+// template charges for processing that color. A disconnected cluster
+// (strong diameter -1) adds nothing.
+func maxDiameter(g *graph.Graph, d *cluster.Decomposition, members [][]int, color int) int {
+	maxDiam := 0
+	for cl := 0; cl < d.K; cl++ {
+		if d.Color[cl] != color {
+			continue
+		}
+		if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
+			maxDiam = diam
+		}
+	}
+	return maxDiam
 }

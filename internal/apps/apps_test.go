@@ -36,7 +36,7 @@ func TestMISAcrossFamilies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
 			m := rounds.NewMeter()
-			mis, err := MIS(g, d, m)
+			mis, err := MISContext(context.Background(), g, d, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestMISWithRandomizedDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mis, err := MIS(g, d, nil)
+	mis, err := MISContext(context.Background(), g, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestMISWithRandomizedDecomposition(t *testing.T) {
 func TestMISRejectsSizeMismatch(t *testing.T) {
 	g := graph.Path(5)
 	d := &cluster.Decomposition{Assign: []int{0}, Color: []int{0}, K: 1, Colors: 1}
-	if _, err := MIS(g, d, nil); err == nil {
+	if _, err := MISContext(context.Background(), g, d, nil); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := ColorGraph(g, d, nil); err == nil {
+	if _, err := ColorGraphContext(context.Background(), g, d, nil); err == nil {
 		t.Fatal("size mismatch accepted by ColorGraph")
 	}
 }
@@ -91,7 +91,7 @@ func TestColoringAcrossFamilies(t *testing.T) {
 	for name, g := range tests {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
-			colorOf, err := ColorGraph(g, d, nil)
+			colorOf, err := ColorGraphContext(context.Background(), g, d, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +187,11 @@ func TestPropertyMISOnRandomGraphs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mis, err := MIS(g, d, nil)
+		mis, err := MISContext(context.Background(), g, d, nil)
 		if err != nil {
 			return false
 		}
-		colorOf, err := ColorGraph(g, d, nil)
+		colorOf, err := ColorGraphContext(context.Background(), g, d, nil)
 		if err != nil {
 			return false
 		}
@@ -199,5 +199,54 @@ func TestPropertyMISOnRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTemplateChargesScheduleCost pins the per-color charge of every
+// application: each charges twice the largest strong cluster diameter of
+// a color plus 2, so its total equals ScheduleCost, and the totals on two
+// multi-color mpx decompositions are pinned values.
+func TestTemplateChargesScheduleCost(t *testing.T) {
+	alg, err := registry.Lookup("mpx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		colors int
+		cost   int
+	}{
+		{"grid", graph.Grid(12, 12), 3, 60},
+		{"union", graph.DisjointUnion(graph.Path(40), graph.Cycle(30), graph.Grid(5, 7)), 3, 76},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := alg.Decompose(context.Background(), tc.g, &registry.RunOptions{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Colors != tc.colors {
+				t.Fatalf("mpx used %d colors, want %d", d.Colors, tc.colors)
+			}
+			if c := ScheduleCost(tc.g, d); c != tc.cost {
+				t.Fatalf("ScheduleCost = %d, want %d", c, tc.cost)
+			}
+			ctx := context.Background()
+			mis, col, sp := rounds.NewMeter(), rounds.NewMeter(), rounds.NewMeter()
+			if _, err := MISContext(ctx, tc.g, d, mis); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ColorGraphContext(ctx, tc.g, d, col); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BuildSpannerContext(ctx, tc.g, d, sp); err != nil {
+				t.Fatal(err)
+			}
+			for app, m := range map[string]*rounds.Meter{"mis": mis, "coloring": col, "spanner": sp} {
+				if m.Rounds() != int64(tc.cost) {
+					t.Errorf("%s charged %d rounds, want %d", app, m.Rounds(), tc.cost)
+				}
+			}
+		})
 	}
 }

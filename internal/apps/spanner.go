@@ -33,16 +33,10 @@ type Spanner struct {
 	CrossEdges int
 }
 
-// BuildSpanner extracts a spanner from the decomposition by the
+// BuildSpannerContext extracts a spanner from the decomposition by the
 // color-by-color template, charging the simulated schedule cost to the
-// meter.
-func BuildSpanner(g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) (*Spanner, error) {
-	return BuildSpannerContext(context.Background(), g, d, m)
-}
-
-// BuildSpannerContext is BuildSpanner with cancellation: the
-// color-by-color main loop checks ctx between colors. A canceled run
-// fails with an error matching registry.ErrCanceled.
+// meter. The main loop checks ctx between colors; a canceled run fails
+// with an error matching registry.ErrCanceled.
 func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) (*Spanner, error) {
 	if len(d.Assign) != g.N() {
 		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
@@ -55,13 +49,9 @@ func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decompo
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		maxDiam := 0
 		for cl := 0; cl < d.K; cl++ {
 			if d.Color[cl] != color || len(members[cl]) == 0 {
 				continue
-			}
-			if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
-				maxDiam = diam
 			}
 			// BFS spanning tree of the cluster's induced subgraph. A
 			// cluster of a strong-diameter decomposition is connected, so
@@ -88,7 +78,7 @@ func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decompo
 				}
 			}
 		}
-		m.Charge("apps/spanner", 2*int64(maxDiam)+2)
+		m.Charge("apps/spanner", 2*int64(maxDiameter(g, d, members, color))+2)
 	}
 	// One representative edge per adjacent cluster pair keeps the spanner
 	// exactly as connected as g across cluster boundaries.

@@ -33,7 +33,7 @@ func TestSpannerAcrossFamilies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
 			m := rounds.NewMeter()
-			sp, err := BuildSpanner(g, d, m)
+			sp, err := BuildSpannerContext(context.Background(), g, d, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestSpannerSparserThanDenseGraph(t *testing.T) {
 	// plus one edge per cluster pair — far below the full edge set.
 	g := graph.Complete(40)
 	d := decompose(t, g)
-	sp, err := BuildSpanner(g, d, nil)
+	sp, err := BuildSpannerContext(context.Background(), g, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSpannerSparserThanDenseGraph(t *testing.T) {
 func TestSpannerRejectsSizeMismatch(t *testing.T) {
 	g := graph.Path(5)
 	d := &cluster.Decomposition{Assign: []int{0}, Color: []int{0}, K: 1, Colors: 1}
-	if _, err := BuildSpanner(g, d, nil); err == nil {
+	if _, err := BuildSpannerContext(context.Background(), g, d, nil); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -106,36 +106,5 @@ func TestContextVariantsHonorCancellation(t *testing.T) {
 	}
 	if _, err := BuildSpannerContext(ctx, g, d, nil); !errors.Is(err, registry.ErrCanceled) {
 		t.Fatalf("BuildSpannerContext: err = %v, want ErrCanceled", err)
-	}
-}
-
-func TestLegacyShimsMatchContextVariants(t *testing.T) {
-	g := graph.ConnectedGnp(120, 0.05, 9)
-	d := decompose(t, g)
-	misA, err := MIS(g, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misB, err := MISContext(context.Background(), g, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range misA {
-		if misA[v] != misB[v] {
-			t.Fatalf("MIS diverges from MISContext at node %d", v)
-		}
-	}
-	colA, err := ColorGraph(g, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colB, err := ColorGraphContext(context.Background(), g, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range colA {
-		if colA[v] != colB[v] {
-			t.Fatalf("ColorGraph diverges from ColorGraphContext at node %d", v)
-		}
 	}
 }

@@ -19,41 +19,18 @@ type Piece struct {
 // components are non-adjacent, so the merged color count is the maximum
 // over pieces rather than the sum.
 func MergeDecompositions(n int, pieces []Piece) (*Decomposition, error) {
-	out := &Decomposition{Assign: make([]int, n)}
-	for i := range out.Assign {
-		out.Assign[i] = Unclustered
-	}
+	out := &Decomposition{Assign: unclustered(n)}
 	for _, p := range pieces {
 		if p.D == nil {
 			return nil, fmt.Errorf("cluster: merge piece without decomposition")
 		}
-		if len(p.D.Assign) != len(p.NodeOf) {
-			return nil, fmt.Errorf("cluster: merge piece has %d assignments for %d nodes",
-				len(p.D.Assign), len(p.NodeOf))
-		}
-		base := out.K
-		for local, cl := range p.D.Assign {
-			host := p.NodeOf[local]
-			if host < 0 || host >= n {
-				return nil, fmt.Errorf("cluster: merge node %d outside host graph", host)
-			}
-			if out.Assign[host] != Unclustered {
-				return nil, fmt.Errorf("cluster: merge pieces overlap at node %d", host)
-			}
-			out.Assign[host] = base + cl
+		var err error
+		if out.Centers, err = mergeAssign(out.Assign, out.Centers, out.K, p.D.Assign, p.D.Centers, p.NodeOf); err != nil {
+			return nil, err
 		}
 		out.Color = append(out.Color, p.D.Color...)
-		for _, c := range p.D.Centers {
-			if c >= 0 && c < len(p.NodeOf) {
-				out.Centers = append(out.Centers, p.NodeOf[c])
-			} else {
-				out.Centers = append(out.Centers, c)
-			}
-		}
 		out.K += p.D.K
-		if p.D.Colors > out.Colors {
-			out.Colors = p.D.Colors
-		}
+		out.Colors = max(out.Colors, p.D.Colors)
 	}
 	for v, cl := range out.Assign {
 		if cl == Unclustered {
@@ -68,40 +45,55 @@ func MergeDecompositions(n int, pieces []Piece) (*Decomposition, error) {
 // Optional per-cluster Steiner trees are dropped: their node IDs are
 // subgraph-local and no current caller consumes them across a merge.
 func MergeCarvings(n int, pieces []Piece) (*Carving, error) {
-	out := &Carving{Assign: make([]int, n)}
-	for i := range out.Assign {
-		out.Assign[i] = Unclustered
-	}
+	out := &Carving{Assign: unclustered(n)}
 	for _, p := range pieces {
 		if p.C == nil {
 			return nil, fmt.Errorf("cluster: merge piece without carving")
 		}
-		if len(p.C.Assign) != len(p.NodeOf) {
-			return nil, fmt.Errorf("cluster: merge piece has %d assignments for %d nodes",
-				len(p.C.Assign), len(p.NodeOf))
-		}
-		base := out.K
-		for local, cl := range p.C.Assign {
-			if cl == Unclustered {
-				continue
-			}
-			host := p.NodeOf[local]
-			if host < 0 || host >= n {
-				return nil, fmt.Errorf("cluster: merge node %d outside host graph", host)
-			}
-			if out.Assign[host] != Unclustered {
-				return nil, fmt.Errorf("cluster: merge pieces overlap at node %d", host)
-			}
-			out.Assign[host] = base + cl
-		}
-		for _, c := range p.C.Centers {
-			if c >= 0 && c < len(p.NodeOf) {
-				out.Centers = append(out.Centers, p.NodeOf[c])
-			} else {
-				out.Centers = append(out.Centers, c)
-			}
+		var err error
+		if out.Centers, err = mergeAssign(out.Assign, out.Centers, out.K, p.C.Assign, p.C.Centers, p.NodeOf); err != nil {
+			return nil, err
 		}
 		out.K += p.C.K
 	}
 	return out, nil
+}
+
+// unclustered returns an n-node assignment with every node Unclustered.
+func unclustered(n int) []int {
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = Unclustered
+	}
+	return assign
+}
+
+// mergeAssign is the assignment merge both kinds share: it writes one
+// piece's clusters into the host assignment with their IDs offset by base
+// (local Unclustered nodes stay Unclustered), and returns centers with the
+// piece's centers appended as host IDs.
+func mergeAssign(assign, centers []int, base int, local, localCenters, nodeOf []int) ([]int, error) {
+	if len(local) != len(nodeOf) {
+		return nil, fmt.Errorf("cluster: merge piece has %d assignments for %d nodes", len(local), len(nodeOf))
+	}
+	for v, cl := range local {
+		if cl == Unclustered {
+			continue
+		}
+		host := nodeOf[v]
+		if host < 0 || host >= len(assign) {
+			return nil, fmt.Errorf("cluster: merge node %d outside host graph", host)
+		}
+		if assign[host] != Unclustered {
+			return nil, fmt.Errorf("cluster: merge pieces overlap at node %d", host)
+		}
+		assign[host] = base + cl
+	}
+	for _, c := range localCenters {
+		if c >= 0 && c < len(nodeOf) {
+			c = nodeOf[c]
+		}
+		centers = append(centers, c)
+	}
+	return centers, nil
 }

@@ -6,8 +6,9 @@ package registry
 // source of request defaults (Normalized), request validation (Validate),
 // and cache identity (the canonical binary encoding behind Key). The
 // facade, the Engine, the serving layer, and the HTTP API all resolve
-// their inputs into a Params and hand it to Run/Exec; the legacy
-// (eps float64, *RunOptions) signatures survive only as thin shims.
+// their inputs into a Params and hand it to the Engine (or, as the
+// service's fallback backend, to Run); the legacy (eps float64,
+// *RunOptions) signatures survive only as thin shims.
 
 import (
 	"context"
@@ -49,8 +50,8 @@ const DefaultAlgorithm = "chang-ghaffari"
 // an HTTP body also addresses the serving layer's result cache.
 //
 // The zero value is not directly runnable; call Normalized to fill
-// defaults (algorithm, kind) before Validate or manual dispatch. Run, Exec
-// and the Engine normalize internally.
+// defaults (algorithm, kind) before Validate or manual dispatch. Run and
+// the Engine normalize internally.
 type Params struct {
 	// Algorithm is a registry name; empty means DefaultAlgorithm.
 	Algorithm string
@@ -310,7 +311,7 @@ type StageTiming struct {
 
 // Outcome is the result of executing one Params: exactly one of Carving
 // and Decomposition is set, matching Params.Kind. It is the canonical
-// result shape shared by Run, Exec, the Engine, and the serving layer.
+// result shape shared by Run, the Engine, and the serving layer.
 type Outcome struct {
 	// Params is the normalized value the run executed under.
 	Params Params
@@ -328,73 +329,36 @@ type Outcome struct {
 	Stages []StageTiming
 }
 
-// Runner executes canonical Params — the v2 execution interface satisfied
-// by the public Engine and by AdaptDecomposer-wrapped registry entries.
-// Implementations must be safe for concurrent use.
-type Runner interface {
-	Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error)
-}
-
 // Run normalizes and validates p, resolves its algorithm through Lookup,
-// and executes it on g — the one-call entry of the v2 API.
+// and executes it on g as one graph, with no component split. It is the
+// serving layer's default backend when no other is configured; the
+// public entry points run every Params through strongdecomp's Engine,
+// which decomposes each connected component separately.
 func Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error) {
-	p = p.Normalized()
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	return Exec(ctx, d, g, p)
-}
-
-// Exec executes p on an already-resolved construction. Metering is driven
-// by p.Meter; use ExecMeter to accumulate into an external meter (the
-// legacy WithMeter path).
-func Exec(ctx context.Context, d Decomposer, g *graph.Graph, p Params) (*Outcome, error) {
-	p = p.Normalized()
-	var meter *rounds.Meter
-	if p.Meter {
-		meter = rounds.NewMeter()
-	}
-	return ExecMeter(ctx, d, g, p, meter)
-}
-
-// ExecMeter is Exec with an explicit meter (which may be nil): the bridge
-// that lets the legacy facade keep its accumulate-into-caller's-Meter
-// semantics while routing defaults and validation through Params.
-func ExecMeter(ctx context.Context, d Decomposer, g *graph.Graph, p Params, meter *rounds.Meter) (*Outcome, error) {
 	p = p.Normalized()
 	if err := p.ValidateFor(g.N()); err != nil {
 		return nil, err
 	}
+	d, err := Lookup(p.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	var meter *rounds.Meter
+	if p.Meter {
+		meter = rounds.NewMeter()
+	}
 	opts := &RunOptions{Seed: p.Seed, Meter: meter, Nodes: p.Nodes}
 	out := &Outcome{Params: p}
-	switch p.Kind {
-	case KindCarve:
-		c, err := d.Carve(ctx, g, p.Eps, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Carving = c
-	case KindDecompose:
-		dec, err := d.Decompose(ctx, g, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Decomposition = dec
+	if p.Kind == KindCarve {
+		out.Carving, err = d.Carve(ctx, g, p.Eps, opts)
+	} else {
+		out.Decomposition, err = d.Decompose(ctx, g, opts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if meter != nil {
 		out.Rounds = meter.Rounds()
 	}
 	return out, nil
-}
-
-// AdaptDecomposer lifts a Decomposer to the canonical Runner interface —
-// what the serving layer uses for direct registry dispatch when no Engine
-// backend is configured.
-func AdaptDecomposer(d Decomposer) Runner { return decomposerRunner{d} }
-
-type decomposerRunner struct{ d Decomposer }
-
-func (r decomposerRunner) Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error) {
-	return Exec(ctx, r.d, g, p)
 }

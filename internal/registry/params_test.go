@@ -238,27 +238,6 @@ func TestRegistryRun(t *testing.T) {
 	}
 }
 
-// TestAdaptDecomposer checks the Decomposer→Runner bridge used for direct
-// registry dispatch.
-func TestAdaptDecomposer(t *testing.T) {
-	stubDecomposer(t, "test-params-adapt")
-	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Lookup("test-params-adapt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := AdaptDecomposer(d).Run(context.Background(), g, Params{Algorithm: "test-params-adapt", Kind: KindCarve, Eps: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Carving == nil {
-		t.Fatal("adapter returned no carving")
-	}
-}
-
 // paramsEqual compares Params treating NaN eps as equal by bit pattern and
 // nil/empty Nodes as distinct only when lengths differ.
 func paramsEqual(a, b Params) bool {

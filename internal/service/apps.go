@@ -190,7 +190,7 @@ func (s *Service) RunApp(ctx context.Context, app string, req *Request) (*AppRes
 	// Validate the algorithm before creating its stats entry — same
 	// discipline as the decomposition path: caller-supplied names that are
 	// not registered must never reach the stats table or the cache key.
-	if _, err := s.runners.get(p.Algorithm); err != nil {
+	if _, err := registry.Lookup(p.Algorithm); err != nil {
 		return nil, err
 	}
 	st := s.stats.app(app)

@@ -140,30 +140,3 @@ type graphStore struct{ *lru[string, *graph.Graph] }
 func newGraphStore(max, budget int) *graphStore {
 	return &graphStore{newWeightedLRU[string](max, budget, (*graph.Graph).MemoryFootprint)}
 }
-
-// runnerTable lazily builds and caches one Runner per algorithm name, so a
-// pooled backend (an Engine) is shared by every request for that
-// algorithm.
-type runnerTable struct {
-	mu      sync.Mutex
-	build   func(algo string) (Runner, error)
-	runners map[string]Runner
-}
-
-func newRunnerTable(build func(algo string) (Runner, error)) *runnerTable {
-	return &runnerTable{build: build, runners: make(map[string]Runner)}
-}
-
-func (t *runnerTable) get(algo string) (Runner, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r, ok := t.runners[algo]; ok {
-		return r, nil
-	}
-	r, err := t.build(algo)
-	if err != nil {
-		return nil, err
-	}
-	t.runners[algo] = r
-	return r, nil
-}

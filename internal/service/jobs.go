@@ -141,9 +141,8 @@ func (m *jobManager) submit(kind registry.Kind, req *Request) (string, error) {
 		return "", err
 	}
 	// Resolve the algorithm now so a job can only fail on real
-	// computation errors, and the runner table is warm before the worker
-	// picks the job up.
-	if _, err := m.svc.runners.get(p.Algorithm); err != nil {
+	// computation errors.
+	if _, err := registry.Lookup(p.Algorithm); err != nil {
 		return "", err
 	}
 	if req.Graph == nil && req.Hash == "" {

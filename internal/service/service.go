@@ -15,10 +15,10 @@
 // decomposition drops from O(BFS) to O(1).
 //
 // The package depends only on the internal substrate (graph, cluster,
-// registry, rounds, graphio); the execution backend is injected as a
-// registry.Runner, which both an AdaptDecomposer-wrapped registry entry
-// and the public strongdecomp.Engine satisfy. The facade's NewService
-// wires the Engine in; tests can wire stubs.
+// registry, rounds, graphio); the execution backend is injected as
+// Config.Run, a function of the canonical Params. The facade's NewService
+// wires in one strongdecomp.Engine's Run; without one the service falls
+// back to registry.Run.
 package service
 
 import (
@@ -46,18 +46,14 @@ var (
 	ErrUnknownGraph = errors.New("service: unknown graph hash")
 )
 
-// Runner executes canonical Params; *strongdecomp.Engine satisfies it
-// directly and a bare registry.Decomposer is lifted with
-// registry.AdaptDecomposer.
-type Runner = registry.Runner
-
-// Config parameterizes New. The zero value is serviceable: registry-backed
-// runners, the paper's construction as default algorithm, and default
+// Config parameterizes New. The zero value is serviceable: registry.Run as
+// the backend, the paper's construction as default algorithm, and default
 // cache sizes.
 type Config struct {
-	// NewRunner builds the execution backend for an algorithm name. Nil
-	// means direct registry dispatch (no engine parallelism).
-	NewRunner func(algo string) (Runner, error)
+	// Run executes one normalized Params on a graph: the execution
+	// backend for every algorithm. Nil means registry.Run (no component
+	// split, no engine parallelism).
+	Run func(ctx context.Context, g *graph.Graph, p registry.Params) (*registry.Outcome, error)
 	// RunnerStats, when non-nil, contributes backend counters (e.g. engine
 	// pool stats) to Stats().Runner.
 	RunnerStats func() map[string]int64
@@ -91,7 +87,7 @@ type Config struct {
 	// the job subsystem — Submit fails with ErrQueueFull).
 	JobQueue int
 	// JobWorkers is the number of goroutines draining the job queue
-	// (default 2). Each job still fans out over its runner's own pool.
+	// (default 2). Each job still fans out over the backend's own pool.
 	JobWorkers int
 	// JobTTL is how long a finished job's result is retained for
 	// retrieval before it is purged (default 15 minutes).
@@ -138,7 +134,6 @@ type ClusterHooks struct {
 // concurrent use — one Service is meant to serve a whole process.
 type Service struct {
 	cfg     Config
-	runners *runnerTable
 	graphs  *graphStore
 	persist *persistStore // nil when Config.DataDir is empty
 	results *tier[*Result]
@@ -151,14 +146,8 @@ type Service struct {
 // New builds a Service from cfg. It fails only when Config.DataDir is set
 // and the data-directory layout cannot be created.
 func New(cfg Config) (*Service, error) {
-	if cfg.NewRunner == nil {
-		cfg.NewRunner = func(algo string) (Runner, error) {
-			d, err := registry.Lookup(algo)
-			if err != nil {
-				return nil, err
-			}
-			return registry.AdaptDecomposer(d), nil
-		}
+	if cfg.Run == nil {
+		cfg.Run = registry.Run
 	}
 	if cfg.DefaultAlgorithm == "" {
 		cfg.DefaultAlgorithm = registry.DefaultAlgorithm
@@ -185,11 +174,10 @@ func New(cfg Config) (*Service, error) {
 		cfg.JobTTL = 15 * time.Minute
 	}
 	s := &Service{
-		cfg:     cfg,
-		runners: newRunnerTable(cfg.NewRunner),
-		graphs:  newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
-		stats:   newStatsTable(),
-		start:   time.Now(),
+		cfg:    cfg,
+		graphs: newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
+		stats:  newStatsTable(),
+		start:  time.Now(),
 	}
 	if cfg.DataDir != "" {
 		p, err := newPersistStore(cfg.DataDir)
@@ -419,8 +407,7 @@ func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*R
 	// Validate the algorithm before creating its stats entry: the stats
 	// table is keyed by caller-supplied strings and serialized into
 	// /metrics, so unregistered names must never be admitted into it.
-	runner, err := s.runners.get(p.Algorithm)
-	if err != nil {
+	if _, err := registry.Lookup(p.Algorithm); err != nil {
 		return nil, err
 	}
 	st := s.stats.algo(p.Algorithm)
@@ -451,7 +438,7 @@ func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*R
 					}, nil
 				}
 			}
-			out, err := s.compute(runCtx, runner, g, hash, p)
+			out, err := s.compute(runCtx, g, hash, p)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -488,9 +475,9 @@ func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*R
 
 // compute runs the canonical Params on the backend and packages the
 // result.
-func (s *Service) compute(ctx context.Context, runner Runner, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
+func (s *Service) compute(ctx context.Context, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
 	start := time.Now()
-	o, err := runner.Run(ctx, g, p)
+	o, err := s.cfg.Run(ctx, g, p)
 	if err != nil {
 		return nil, err
 	}

@@ -47,12 +47,14 @@ type Outcome = registry.Outcome
 // encoding round-trips losslessly (see the registry fuzz target).
 func DecodeParams(data []byte) (Params, error) { return registry.DecodeParams(data) }
 
-// Run executes one canonical Params on g: p is normalized and validated,
-// its algorithm resolved through the registry, and the selected operation
-// run with cancellation support. It is the v2 entry point subsuming
-// BallCarveContext and DecomposeContext.
+// Run executes one canonical Params on g through a per-call Engine, so it
+// returns exactly what Engine.Run returns: p is normalized and validated,
+// its algorithm resolved through the registry, and the connected
+// components of g run concurrently with cancellation support. It is the
+// v2 entry point subsuming BallCarveContext and DecomposeContext; a
+// per-call engine keeps no scratch once the call returns.
 func Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) {
-	return registry.Run(ctx, g, p)
+	return NewEngine().Run(ctx, g, p)
 }
 
 // Decomposer is a registered construction: a context-aware ball carving and

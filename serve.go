@@ -6,7 +6,6 @@ package strongdecomp
 // the result behind the HTTP API in internal/service/httpapi.
 
 import (
-	"sync"
 	"time"
 
 	"strongdecomp/internal/graphio"
@@ -16,8 +15,8 @@ import (
 // Serving-layer re-exports. A Service answers decomposition requests
 // through a content-addressed LRU result cache keyed by
 // (HashGraph(g), algorithm, kind, eps, seed), deduplicates concurrent
-// identical requests in flight, and runs every computation on a shared
-// per-algorithm Engine.
+// identical requests in flight, and runs every computation on one shared
+// Engine.
 type (
 	// Service is the caching, deduplicating request layer over the Engine.
 	Service = service.Service
@@ -93,7 +92,7 @@ type serviceConfig struct {
 // ServiceOption configures NewService.
 type ServiceOption func(*serviceConfig)
 
-// WithServiceWorkers sets the worker-pool size of every backing Engine
+// WithServiceWorkers sets the worker-pool size of the backing Engine
 // (default GOMAXPROCS).
 func WithServiceWorkers(n int) ServiceOption {
 	return func(c *serviceConfig) { c.workers = n }
@@ -130,7 +129,7 @@ func WithServiceJobQueue(n int) ServiceOption {
 }
 
 // WithServiceJobWorkers sets how many jobs execute concurrently (default
-// 2; each job still parallelizes internally over its Engine's pool).
+// 2; each job still parallelizes internally over the Engine's pool).
 func WithServiceJobWorkers(n int) ServiceOption {
 	return func(c *serviceConfig) { c.jobWorkers = n }
 }
@@ -189,10 +188,10 @@ func WithServiceClusterHooks(hooks ServiceClusterHooks) ServiceOption {
 
 // NewService builds the serving layer: requests are answered from the
 // content-addressed cache when possible, concurrent identical requests
-// share one computation, and misses execute on a lazily-created Engine per
-// algorithm (each with component-level parallelism over its worker pool).
-// The aggregated engine counters surface in ServiceStats.Runner and the
-// HTTP /metrics endpoint.
+// share one computation, and misses run on one Engine shared by every
+// algorithm — the same path as Run, so the service and the library answer
+// the same Params identically. The engine's counters surface in
+// ServiceStats.Runner and the HTTP /metrics endpoint.
 //
 // NewService fails only when WithServiceDataDir names a directory whose
 // layout cannot be created; a memory-only service never errors.
@@ -201,12 +200,10 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-
-	var (
-		mu      sync.Mutex
-		engines []*Engine
-	)
+	e := NewEngine(WithWorkers(c.workers))
 	return service.New(service.Config{
+		Run:              e.Run,
+		RunnerStats:      func() map[string]int64 { return e.Stats().Counters() },
 		DefaultAlgorithm: c.algo,
 		CacheSize:        c.cacheSize,
 		GraphStoreSize:   c.graphStore,
@@ -219,36 +216,5 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 		Cluster:          c.cluster,
 		AppCacheSize:     c.appCache,
 		StrictApps:       c.strictApps,
-		NewRunner: func(algo string) (service.Runner, error) {
-			// Engines resolve names lazily; validate here so unknown
-			// algorithms fail at request time with ErrUnknownAlgorithm
-			// instead of creating a dead engine.
-			if _, err := Lookup(algo); err != nil {
-				return nil, err
-			}
-			e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(c.workers))
-			mu.Lock()
-			engines = append(engines, e)
-			mu.Unlock()
-			return e, nil
-		},
-		RunnerStats: func() map[string]int64 {
-			mu.Lock()
-			defer mu.Unlock()
-			out := map[string]int64{"engines": int64(len(engines))}
-			for _, e := range engines {
-				for k, v := range e.Stats().Counters() {
-					switch k {
-					case "max_parallel", "workers":
-						if v > out[k] {
-							out[k] = v
-						}
-					default:
-						out[k] += v
-					}
-				}
-			}
-			return out
-		},
 	})
 }

@@ -26,8 +26,10 @@
 //
 // The canonical way to describe a run is one Params value — algorithm
 // name, kind (KindCarve or KindDecompose), eps, seed, node restriction,
-// and meter opt-in — executed with Run (or Engine.Run for pooled,
-// per-component-parallel execution):
+// and meter opt-in — executed with Run, or with Engine.Run on a shared
+// engine. Both take the same path: the connected components of the graph
+// are decomposed concurrently and merged, as they run simultaneously in
+// the distributed model:
 //
 //	out, err := strongdecomp.Run(ctx, g, strongdecomp.Params{
 //		Algorithm: "chang-ghaffari-improved",
@@ -41,7 +43,7 @@
 // internal/service addresses its result cache with the same canonical
 // byte encoding that validates a CLI flag set or an HTTP body. The
 // functional options below (WithAlgorithmName, WithSeed, ...) remain as
-// thin shims that resolve into a Params.
+// thin shims that resolve into a Params and run the same way.
 //
 // A minimal example:
 //
@@ -57,7 +59,6 @@ import (
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
-	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 
 	// The algorithm packages self-register their constructions with the
@@ -157,8 +158,8 @@ func NewGraph(n int, edges [][2]int) (*Graph, error) {
 // most an eps fraction of nodes are removed (Assign == Unclustered) and the
 // remaining clusters are pairwise non-adjacent with small diameter. The
 // default algorithm is the paper's deterministic Theorem 2.2 construction.
-// It is a thin shim over the algorithm registry: the selected construction
-// is resolved with Lookup and run with a background context.
+// It is a thin shim over Run: the options resolve into one Params, run
+// with a background context.
 func BallCarve(g *Graph, eps float64, opts ...Option) (*Carving, error) {
 	return BallCarveContext(context.Background(), g, eps, opts...)
 }
@@ -166,12 +167,7 @@ func BallCarve(g *Graph, eps float64, opts ...Option) (*Carving, error) {
 // BallCarveContext is BallCarve with cancellation and deadline support; a
 // canceled run returns an error matching ErrCanceled.
 func BallCarveContext(ctx context.Context, g *Graph, eps float64, opts ...Option) (*Carving, error) {
-	p, meter := buildParams(KindCarve, eps, opts)
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	out, err := registry.ExecMeter(ctx, d, g, p, meter)
+	out, err := runOptions(ctx, g, KindCarve, eps, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +178,7 @@ func BallCarveContext(ctx context.Context, g *Graph, eps float64, opts ...Option
 // to a cluster, clusters are colored, and same-color clusters are
 // non-adjacent. The default is the paper's deterministic Theorem 2.3
 // construction with O(log n) colors and strong-diameter clusters. It is a
-// thin shim over the algorithm registry, like BallCarve.
+// thin shim over Run, like BallCarve.
 func Decompose(g *Graph, opts ...Option) (*Decomposition, error) {
 	return DecomposeContext(context.Background(), g, opts...)
 }
@@ -190,16 +186,19 @@ func Decompose(g *Graph, opts ...Option) (*Decomposition, error) {
 // DecomposeContext is Decompose with cancellation and deadline support; a
 // canceled run returns an error matching ErrCanceled.
 func DecomposeContext(ctx context.Context, g *Graph, opts ...Option) (*Decomposition, error) {
-	p, meter := buildParams(KindDecompose, 0, opts)
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	out, err := registry.ExecMeter(ctx, d, g, p, meter)
+	out, err := runOptions(ctx, g, KindDecompose, 0, opts)
 	if err != nil {
 		return nil, err
 	}
 	return out.Decomposition, nil
+}
+
+// runOptions folds the options into a Params and executes it on a
+// per-call Engine, exactly as Run does; a WithMeter meter receives the
+// run's cost.
+func runOptions(ctx context.Context, g *Graph, kind Kind, eps float64, opts []Option) (*Outcome, error) {
+	p, meter := buildParams(kind, eps, opts)
+	return NewEngine().run(ctx, g, p, meter, nil)
 }
 
 // VerifyCarving checks the defining properties of a ball carving: dead
