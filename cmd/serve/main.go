@@ -124,31 +124,27 @@ func run() error {
 	}
 	collector := obs.NewCollector(logger)
 
-	// The service needs the cluster's hooks at construction and the
-	// cluster's handler needs the service, so the hooks late-bind
-	// through this pointer: nil until the cluster exists, which is
-	// before the listener starts accepting traffic.
+	// A shard's cluster is built first: the service takes its hooks at
+	// construction, and the cluster's handler takes the service.
 	var cluster *shard.Cluster
 	hooks := strongdecomp.ServiceClusterHooks{}
 	if *shardID != "" {
-		hooks = strongdecomp.ServiceClusterHooks{
-			PeerLookup: func(ctx context.Context, graphHash, paramsKey string, n int) (*strongdecomp.ServiceResult, bool) {
-				if cluster == nil {
-					return nil, false
-				}
-				return cluster.PeerLookup(ctx, graphHash, paramsKey, n)
-			},
-			OnResultComputed: func(graphHash, paramsKey string, res *strongdecomp.ServiceResult) {
-				if cluster != nil {
-					cluster.ReplicateResult(graphHash, paramsKey, res)
-				}
-			},
-			OnGraphStored: func(graphHash string, g *strongdecomp.Graph) {
-				if cluster != nil {
-					cluster.ReplicateGraph(graphHash, g)
-				}
-			},
+		members, err := shard.ParseMembers(*clusterPeers)
+		if err != nil {
+			return err
 		}
+		cluster, err = shard.NewCluster(shard.Config{
+			SelfID:   *shardID,
+			Members:  members,
+			VNodes:   *vnodes,
+			Replicas: *replicas,
+			Secret:   *clusterSecret,
+		})
+		if err != nil {
+			return err
+		}
+		defer cluster.Close()
+		hooks = cluster.Hooks()
 	}
 
 	svc, err := strongdecomp.NewService(
@@ -182,22 +178,7 @@ func run() error {
 	apiOpts := []httpapi.Option{httpapi.WithReadiness(readiness), httpapi.WithObs(collector)}
 
 	var handler http.Handler
-	if *shardID != "" {
-		members, err := shard.ParseMembers(*clusterPeers)
-		if err != nil {
-			return err
-		}
-		cluster, err = shard.NewCluster(shard.Config{
-			SelfID:   *shardID,
-			Members:  members,
-			VNodes:   *vnodes,
-			Replicas: *replicas,
-			Secret:   *clusterSecret,
-		})
-		if err != nil {
-			return err
-		}
-		defer cluster.Close()
+	if cluster != nil {
 		apiOpts = []httpapi.Option{
 			httpapi.WithReadiness(func() error {
 				if err := readiness(); err != nil {

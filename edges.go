@@ -45,7 +45,11 @@ func VerifyEdgeCarving(g *Graph, ec *EdgeCarving, eps float64, maxDiam int) erro
 // template. The attached meter (if any) receives the C·D schedule cost.
 func MIS(g *Graph, d *Decomposition, opts ...Option) ([]bool, error) {
 	_, meter := buildParams(KindDecompose, 0, opts)
-	return apps.MISContext(context.Background(), g, d, meter)
+	diam, err := apps.ColorDiameters(context.Background(), g, d)
+	if err != nil {
+		return nil, err
+	}
+	return apps.MISContext(context.Background(), g, d, diam, meter)
 }
 
 // VerifyMIS checks independence and maximality of a candidate MIS.
@@ -55,7 +59,11 @@ func VerifyMIS(g *Graph, inMIS []bool) error { return apps.VerifyMIS(g, inMIS) }
 // template over a network decomposition.
 func ColorGraph(g *Graph, d *Decomposition, opts ...Option) ([]int, error) {
 	_, meter := buildParams(KindDecompose, 0, opts)
-	return apps.ColorGraphContext(context.Background(), g, d, meter)
+	diam, err := apps.ColorDiameters(context.Background(), g, d)
+	if err != nil {
+		return nil, err
+	}
+	return apps.ColorGraphContext(context.Background(), g, d, diam, meter)
 }
 
 // VerifyColoring checks that a coloring is proper and fits in maxColors.

@@ -24,13 +24,13 @@ import (
 // MISContext computes a maximal independent set of g by the color-by-color
 // template over the given decomposition. The result is deterministic given
 // the decomposition. It returns the membership vector and charges the
-// simulated schedule cost to the meter. The main loop checks ctx between
-// colors, so a served app run honors request timeouts and job
-// cancellation; a canceled run fails with an error matching
-// registry.ErrCanceled.
-func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]bool, error) {
-	if len(d.Assign) != g.N() {
-		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
+// simulated schedule cost, from diam (ColorDiameters of g and d), to the
+// meter. The main loop checks ctx between colors, so a served app run
+// honors request timeouts and job cancellation; a canceled run fails with
+// an error matching registry.ErrCanceled.
+func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, diam []int, m *rounds.Meter) ([]bool, error) {
+	if err := checkShape(g, d, diam); err != nil {
+		return nil, err
 	}
 	inMIS := make([]bool, g.N())
 	decided := make([]bool, g.N())
@@ -57,7 +57,7 @@ func MISContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m
 				decided[v] = true
 			}
 		}
-		m.Charge("apps/mis", 2*int64(maxDiameter(g, d, members, color))+2)
+		m.Charge("apps/mis", colorCost(diam, color))
 	}
 	return inMIS, nil
 }
@@ -97,11 +97,12 @@ func VerifyMIS(g *graph.Graph, inMIS []bool) error {
 // template: per decomposition color, every cluster greedily colors its
 // nodes with the smallest palette color not used by an already-colored
 // neighbor. Since a node has at most Δ neighbors, Δ+1 colors always
-// suffice. The main loop checks ctx between colors; a canceled run fails
-// with an error matching registry.ErrCanceled.
-func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) ([]int, error) {
-	if len(d.Assign) != g.N() {
-		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
+// suffice. It charges the schedule cost from diam, as MISContext does.
+// The main loop checks ctx between colors; a canceled run fails with an
+// error matching registry.ErrCanceled.
+func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, diam []int, m *rounds.Meter) ([]int, error) {
+	if err := checkShape(g, d, diam); err != nil {
+		return nil, err
 	}
 	colorOf := make([]int, g.N())
 	for i := range colorOf {
@@ -134,7 +135,7 @@ func ColorGraphContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposi
 				}
 			}
 		}
-		m.Charge("apps/coloring", 2*int64(maxDiameter(g, d, members, color))+2)
+		m.Charge("apps/coloring", colorCost(diam, color))
 	}
 	return colorOf, nil
 }
@@ -160,29 +161,73 @@ func VerifyColoring(g *graph.Graph, colorOf []int, maxColors int) error {
 
 // ScheduleCost returns the C·D template cost of a decomposition on g: the
 // sum over colors of twice the maximum cluster diameter plus constants —
-// the quantity the paper's "time proportional to C · D" refers to.
+// the quantity the paper's "time proportional to C · D" refers to. A
+// decomposition that does not fit g costs 0.
 func ScheduleCost(g *graph.Graph, d *cluster.Decomposition) int {
-	members := d.Members()
+	diam, err := ColorDiameters(context.Background(), g, d)
+	if err != nil {
+		return 0
+	}
+	return ScheduleCostOf(diam)
+}
+
+// ScheduleCostOf is ScheduleCost from the per-color diameters
+// ColorDiameters returns.
+func ScheduleCostOf(diam []int) int {
 	total := 0
-	for color := 0; color < d.Colors; color++ {
-		total += 2*maxDiameter(g, d, members, color) + 2
+	for c := range diam {
+		total += int(colorCost(diam, c))
 	}
 	return total
 }
 
-// maxDiameter returns the largest strong diameter among the clusters of
-// one color (0 when the color has none) — the coordination time the
-// template charges for processing that color. A disconnected cluster
-// (strong diameter -1) adds nothing.
-func maxDiameter(g *graph.Graph, d *cluster.Decomposition, members [][]int, color int) int {
-	maxDiam := 0
-	for cl := 0; cl < d.K; cl++ {
-		if d.Color[cl] != color {
-			continue
-		}
-		if diam := graph.StrongDiameter(g, members[cl]); diam > maxDiam {
-			maxDiam = diam
+// ColorDiameters returns, for each color of d, the largest strong
+// diameter among that color's clusters (0 when the color has none; a
+// disconnected cluster, of strong diameter -1, adds nothing): the
+// coordination time the template charges for processing that color. This
+// is the costly pass of every application, one BFS per cluster member, so
+// a caller that runs an application and also reports its ScheduleCost
+// computes it once and hands it to both. It checks ctx between clusters,
+// so a canceled run stops within one cluster's work, with an error
+// matching registry.ErrCanceled. A decomposition that does not fit g, or
+// whose cluster colors lie outside [0, Colors), is an error.
+func ColorDiameters(ctx context.Context, g *graph.Graph, d *cluster.Decomposition) ([]int, error) {
+	if len(d.Assign) != g.N() {
+		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
+	}
+	if len(d.Color) < d.K {
+		return nil, fmt.Errorf("apps: %d cluster colors for %d clusters", len(d.Color), d.K)
+	}
+	for cl, c := range d.Color[:d.K] {
+		if c < 0 || c >= d.Colors {
+			return nil, fmt.Errorf("apps: cluster %d color %d outside [0,%d)", cl, c, d.Colors)
 		}
 	}
-	return maxDiam
+	diam := make([]int, d.Colors)
+	for cl, nodes := range d.Members() {
+		if err := registry.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		c := d.Color[cl]
+		diam[c] = max(diam[c], graph.StrongDiameter(g, nodes))
+	}
+	return diam, nil
+}
+
+// colorCost is the template's round charge for processing one color:
+// twice its largest cluster diameter, plus 2.
+func colorCost(diam []int, color int) int64 {
+	return 2*int64(diam[color]) + 2
+}
+
+// checkShape rejects a decomposition that does not fit g, or per-color
+// diameters that do not fit the decomposition.
+func checkShape(g *graph.Graph, d *cluster.Decomposition, diam []int) error {
+	if len(d.Assign) != g.N() {
+		return fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
+	}
+	if len(diam) != d.Colors {
+		return fmt.Errorf("apps: %d color diameters for %d colors", len(diam), d.Colors)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,16 @@ func decompose(t *testing.T, g *graph.Graph) *cluster.Decomposition {
 	return d
 }
 
+// diameters is ColorDiameters of g and d, failing the test on an error.
+func diameters(t *testing.T, g *graph.Graph, d *cluster.Decomposition) []int {
+	t.Helper()
+	diam, err := ColorDiameters(context.Background(), g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diam
+}
+
 func TestMISAcrossFamilies(t *testing.T) {
 	tests := map[string]*graph.Graph{
 		"path":     graph.Path(200),
@@ -36,7 +47,7 @@ func TestMISAcrossFamilies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
 			m := rounds.NewMeter()
-			mis, err := MISContext(context.Background(), g, d, m)
+			mis, err := MISContext(context.Background(), g, d, diameters(t, g, d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +71,7 @@ func TestMISWithRandomizedDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mis, err := MISContext(context.Background(), g, d, nil)
+	mis, err := MISContext(context.Background(), g, d, diameters(t, g, d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +83,23 @@ func TestMISWithRandomizedDecomposition(t *testing.T) {
 func TestMISRejectsSizeMismatch(t *testing.T) {
 	g := graph.Path(5)
 	d := &cluster.Decomposition{Assign: []int{0}, Color: []int{0}, K: 1, Colors: 1}
-	if _, err := MISContext(context.Background(), g, d, nil); err == nil {
+	if _, err := MISContext(context.Background(), g, d, nil, nil); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := ColorGraphContext(context.Background(), g, d, nil); err == nil {
+	if _, err := ColorGraphContext(context.Background(), g, d, nil, nil); err == nil {
 		t.Fatal("size mismatch accepted by ColorGraph")
+	}
+	for name, d := range map[string]*cluster.Decomposition{
+		"color out of range": {Assign: []int{0, 0, 1, 1, 1}, Color: []int{0, 1}, K: 2, Colors: 1},
+		"negative color":     {Assign: []int{0, 0, 1, 1, 1}, Color: []int{0, -1}, K: 2, Colors: 1},
+		"too few colors":     {Assign: []int{0, 0, 1, 1, 1}, Color: []int{0}, K: 2, Colors: 1},
+	} {
+		if _, err := ColorDiameters(context.Background(), g, d); err == nil {
+			t.Errorf("%s: accepted by ColorDiameters", name)
+		}
+		if cost := ScheduleCost(g, d); cost != 0 {
+			t.Errorf("%s: ScheduleCost = %d, want 0", name, cost)
+		}
 	}
 }
 
@@ -91,7 +114,7 @@ func TestColoringAcrossFamilies(t *testing.T) {
 	for name, g := range tests {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
-			colorOf, err := ColorGraphContext(context.Background(), g, d, nil)
+			colorOf, err := ColorGraphContext(context.Background(), g, d, diameters(t, g, d), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +210,11 @@ func TestPropertyMISOnRandomGraphs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mis, err := MISContext(context.Background(), g, d, nil)
+		mis, err := MISContext(context.Background(), g, d, diameters(t, g, d), nil)
 		if err != nil {
 			return false
 		}
-		colorOf, err := ColorGraphContext(context.Background(), g, d, nil)
+		colorOf, err := ColorGraphContext(context.Background(), g, d, diameters(t, g, d), nil)
 		if err != nil {
 			return false
 		}
@@ -233,13 +256,13 @@ func TestTemplateChargesScheduleCost(t *testing.T) {
 			}
 			ctx := context.Background()
 			mis, col, sp := rounds.NewMeter(), rounds.NewMeter(), rounds.NewMeter()
-			if _, err := MISContext(ctx, tc.g, d, mis); err != nil {
+			if _, err := MISContext(ctx, tc.g, d, diameters(t, tc.g, d), mis); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ColorGraphContext(ctx, tc.g, d, col); err != nil {
+			if _, err := ColorGraphContext(ctx, tc.g, d, diameters(t, tc.g, d), col); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := BuildSpannerContext(ctx, tc.g, d, sp); err != nil {
+			if _, err := BuildSpannerContext(ctx, tc.g, d, diameters(t, tc.g, d), sp); err != nil {
 				t.Fatal(err)
 			}
 			for app, m := range map[string]*rounds.Meter{"mis": mis, "coloring": col, "spanner": sp} {
@@ -248,5 +271,52 @@ func TestTemplateChargesScheduleCost(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countdownCtx is a context that reports Canceled from the n-th call of
+// Err on: a request canceled while a loop runs, as the loop's context
+// checks see it, with no timing involved.
+type countdownCtx struct {
+	context.Context
+	n, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledMISStopsWithinOneCluster: a served MIS request first
+// computes the per-color diameters, one BFS per cluster member. Canceled
+// after the first cluster of a one-color decomposition with 40 clusters,
+// it returns at the next check, before a second cluster's work, with an
+// error matching registry.ErrCanceled.
+func TestCanceledMISStopsWithinOneCluster(t *testing.T) {
+	parts := make([]*graph.Graph, 40)
+	for i := range parts {
+		parts[i] = graph.Path(25)
+	}
+	g := graph.DisjointUnion(parts...)
+	d := &cluster.Decomposition{Assign: make([]int, g.N()), Color: make([]int, len(parts)), K: len(parts), Colors: 1}
+	for v := range d.Assign {
+		d.Assign[v] = v / 25
+	}
+	if diam := diameters(t, g, d); len(diam) != 1 || diam[0] != 24 {
+		t.Fatalf("color diameters %v, want [24]", diam)
+	}
+	ctx := &countdownCtx{Context: context.Background(), n: 2}
+	_, err := ColorDiameters(ctx, g, d)
+	if !errors.Is(err, registry.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if ctx.calls != 2 {
+		t.Fatalf("checked the context %d times, want 2: one cluster, then the cancellation", ctx.calls)
+	}
+	if _, err := MISContext(ctx, g, d, []int{24}, nil); !errors.Is(err, registry.ErrCanceled) {
+		t.Fatalf("MISContext after cancellation: err = %v, want ErrCanceled", err)
 	}
 }

@@ -11,7 +11,6 @@ package apps
 
 import (
 	"context"
-	"fmt"
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
@@ -34,12 +33,13 @@ type Spanner struct {
 }
 
 // BuildSpannerContext extracts a spanner from the decomposition by the
-// color-by-color template, charging the simulated schedule cost to the
-// meter. The main loop checks ctx between colors; a canceled run fails
-// with an error matching registry.ErrCanceled.
-func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) (*Spanner, error) {
-	if len(d.Assign) != g.N() {
-		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())
+// color-by-color template, charging the simulated schedule cost, from
+// diam (ColorDiameters of g and d), to the meter. The main loop checks
+// ctx between colors; a canceled run fails with an error matching
+// registry.ErrCanceled.
+func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, diam []int, m *rounds.Meter) (*Spanner, error) {
+	if err := checkShape(g, d, diam); err != nil {
+		return nil, err
 	}
 	sp := &Spanner{}
 	members := d.Members()
@@ -78,7 +78,7 @@ func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decompo
 				}
 			}
 		}
-		m.Charge("apps/spanner", 2*int64(maxDiameter(g, d, members, color))+2)
+		m.Charge("apps/spanner", colorCost(diam, color))
 	}
 	// One representative edge per adjacent cluster pair keeps the spanner
 	// exactly as connected as g across cluster boundaries.

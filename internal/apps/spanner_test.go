@@ -33,7 +33,7 @@ func TestSpannerAcrossFamilies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := decompose(t, g)
 			m := rounds.NewMeter()
-			sp, err := BuildSpannerContext(context.Background(), g, d, m)
+			sp, err := BuildSpannerContext(context.Background(), g, d, diameters(t, g, d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestSpannerSparserThanDenseGraph(t *testing.T) {
 	// plus one edge per cluster pair — far below the full edge set.
 	g := graph.Complete(40)
 	d := decompose(t, g)
-	sp, err := BuildSpannerContext(context.Background(), g, d, nil)
+	sp, err := BuildSpannerContext(context.Background(), g, d, diameters(t, g, d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSpannerSparserThanDenseGraph(t *testing.T) {
 func TestSpannerRejectsSizeMismatch(t *testing.T) {
 	g := graph.Path(5)
 	d := &cluster.Decomposition{Assign: []int{0}, Color: []int{0}, K: 1, Colors: 1}
-	if _, err := BuildSpannerContext(context.Background(), g, d, nil); err == nil {
+	if _, err := BuildSpannerContext(context.Background(), g, d, nil, nil); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -98,13 +98,13 @@ func TestContextVariantsHonorCancellation(t *testing.T) {
 	d := decompose(t, g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MISContext(ctx, g, d, nil); !errors.Is(err, registry.ErrCanceled) {
+	if _, err := MISContext(ctx, g, d, diameters(t, g, d), nil); !errors.Is(err, registry.ErrCanceled) {
 		t.Fatalf("MISContext: err = %v, want ErrCanceled", err)
 	}
-	if _, err := ColorGraphContext(ctx, g, d, nil); !errors.Is(err, registry.ErrCanceled) {
+	if _, err := ColorGraphContext(ctx, g, d, diameters(t, g, d), nil); !errors.Is(err, registry.ErrCanceled) {
 		t.Fatalf("ColorGraphContext: err = %v, want ErrCanceled", err)
 	}
-	if _, err := BuildSpannerContext(ctx, g, d, nil); !errors.Is(err, registry.ErrCanceled) {
+	if _, err := BuildSpannerContext(ctx, g, d, diameters(t, g, d), nil); !errors.Is(err, registry.ErrCanceled) {
 		t.Fatalf("BuildSpannerContext: err = %v, want ErrCanceled", err)
 	}
 }

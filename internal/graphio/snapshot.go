@@ -78,11 +78,6 @@ const maxSnapshotEdges = 1 << 33
 // wordBytes is the on-disk size of one offsets/targets element.
 const wordBytes = 8
 
-// writeChunk is the size of WriteCSR's encode buffer. It and the header
-// are multiples of wordBytes, so the buffer fills exactly and a word never
-// straddles a flush.
-const writeChunk = 64 << 10
-
 // hostIsCastable reports whether this machine can reinterpret the on-disk
 // little-endian int64 payload as in-memory []int64/[]int without a
 // conversion pass: 64-bit ints and little-endian byte order.
@@ -97,50 +92,44 @@ func snapshotSize(n, m int) int64 {
 	return snapshotHeaderLen + int64(n+1)*wordBytes + 2*int64(m)*wordBytes + snapshotFooterLen
 }
 
-// WriteCSR writes g to w as a binary CSR snapshot (version
-// SnapshotVersion), including the trailing SHA-256 checksum. Header and
-// words are encoded into one chunk buffer, and each full chunk is hashed
-// and written in one call.
-func WriteCSR(w io.Writer, g *graph.Graph) error {
-	h := sha256.New()
-	buf := make([]byte, 0, writeChunk)
-	flush := func() error {
-		h.Write(buf)
-		_, err := w.Write(buf)
-		buf = buf[:0]
-		return err
-	}
-
-	buf = append(buf, snapshotMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, SnapshotVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags: reserved
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.N()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.M()))
-
+// EncodeCSR returns g's binary CSR snapshot (version SnapshotVersion),
+// checksum footer included, in one buffer of exactly the snapshot's size.
+// On 64-bit little-endian hosts each array is copied in as raw memory;
+// other hosts encode it word by word.
+func EncodeCSR(g *graph.Graph) []byte {
+	buf := make([]byte, snapshotHeaderLen, int(snapshotSize(g.N(), g.M())))
+	copy(buf, snapshotMagic)
+	binary.LittleEndian.PutUint32(buf[8:], SnapshotVersion)
+	// buf[12:16) is the reserved flags word, left zero.
+	binary.LittleEndian.PutUint64(buf[16:], uint64(g.N()))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(g.M()))
 	offsets, targets := g.CSR()
-	for _, o := range offsets {
-		if len(buf) == writeChunk {
-			if err := flush(); err != nil {
-				return fmt.Errorf("graphio: write snapshot offsets: %w", err)
-			}
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(o))
+	buf = appendWords(buf, offsets)
+	buf = appendWords(buf, targets)
+	// g may be a mapped snapshot, unmapped once g is unreachable; the
+	// copies above read its arrays through views that do not keep g alive.
+	runtime.KeepAlive(g)
+	// The checksum covers header and payload, not the footer itself.
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// appendWords appends words to buf as little-endian 64-bit words.
+func appendWords[T int | int64](buf []byte, words []T) []byte {
+	if len(words) > 0 && hostIsCastable() {
+		return append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*wordBytes)...)
 	}
-	for _, t := range targets {
-		if len(buf) == writeChunk {
-			if err := flush(); err != nil {
-				return fmt.Errorf("graphio: write snapshot targets: %w", err)
-			}
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
 	}
-	// The checksum covers header + payload; the footer itself is not
-	// hashed.
-	if err := flush(); err != nil {
+	return buf
+}
+
+// WriteCSR writes g to w as a binary CSR snapshot: the bytes of
+// EncodeCSR, in one call.
+func WriteCSR(w io.Writer, g *graph.Graph) error {
+	if _, err := w.Write(EncodeCSR(g)); err != nil {
 		return fmt.Errorf("graphio: write snapshot: %w", err)
-	}
-	if _, err := w.Write(h.Sum(nil)); err != nil {
-		return fmt.Errorf("graphio: write snapshot checksum: %w", err)
 	}
 	return nil
 }
@@ -259,11 +248,11 @@ func readIntWords(r io.Reader, n int) ([]int, error) {
 }
 
 // decodeSnapshot builds a graph from a complete in-memory (or mapped)
-// snapshot image. With zeroCopy (64-bit little-endian hosts, 8-aligned
-// data) the returned graph aliases data; otherwise the arrays are copied
-// out. verifyStructure selects the full graph-invariant pass on top of
-// the always-on checksum.
-func decodeSnapshot(data []byte, zeroCopy, verifyStructure bool) (*graph.Graph, error) {
+// snapshot image. On 64-bit little-endian hosts, with 8-aligned data, the
+// returned graph aliases data; otherwise the arrays are copied out.
+// verifyStructure selects the full graph-invariant pass on top of the
+// always-on checksum.
+func decodeSnapshot(data []byte, verifyStructure bool) (*graph.Graph, error) {
 	hdr, err := parseSnapshotHeader(data)
 	if err != nil {
 		return nil, err
@@ -283,7 +272,7 @@ func decodeSnapshot(data []byte, zeroCopy, verifyStructure bool) (*graph.Graph, 
 
 	var offsets []int64
 	var targets []int
-	if zeroCopy && hostIsCastable() && uintptr(unsafe.Pointer(&offBytes[0]))%wordBytes == 0 {
+	if hostIsCastable() && uintptr(unsafe.Pointer(&offBytes[0]))%wordBytes == 0 {
 		offsets = unsafe.Slice((*int64)(unsafe.Pointer(&offBytes[0])), hdr.n+1)
 		targets = []int{}
 		if hdr.m > 0 {
@@ -322,9 +311,9 @@ func loadSnapshot(path string, verifyStructure bool) (*graph.Graph, error) {
 		if rerr != nil {
 			return nil, fmt.Errorf("graphio: %w", rerr)
 		}
-		return decodeSnapshot(data, true, verifyStructure)
+		return decodeSnapshot(data, verifyStructure)
 	}
-	g, err := decodeSnapshot(data, true, verifyStructure)
+	g, err := decodeSnapshot(data, verifyStructure)
 	if err != nil {
 		unmap()
 		return nil, err
@@ -358,6 +347,14 @@ func LoadCSR(path string) (*graph.Graph, error) {
 // its own spill files through this path.
 func LoadCSRTrusted(path string) (*graph.Graph, error) {
 	return loadSnapshot(path, false)
+}
+
+// DecodeCSR decodes a complete snapshot image with full verification:
+// size, checksum and the graph invariant pass. On 64-bit little-endian
+// hosts the returned graph's arrays alias data, which the caller must
+// then leave unmodified; elsewhere they are copied out.
+func DecodeCSR(data []byte) (*graph.Graph, error) {
+	return decodeSnapshot(data, true)
 }
 
 // SaveCSR writes g to path as a binary snapshot via an adjacent temp file

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"strongdecomp/internal/graph"
 )
@@ -272,5 +274,61 @@ func TestSaveCSRLeavesNoTempFile(t *testing.T) {
 	}
 	if !slices.Equal(names, []string{"blocked.csr", "g.csr"}) {
 		t.Fatalf("directory holds %v, want only blocked.csr and g.csr", names)
+	}
+}
+
+// TestEncodeCSRMatchesWordEncoding checks EncodeCSR's raw-memory array
+// copy against the format spelled out word by word: header, offsets and
+// targets as little-endian 64-bit words, then SHA-256 over all of it.
+func TestEncodeCSRMatchesWordEncoding(t *testing.T) {
+	for name, g := range generatorCorpus() {
+		want := []byte(snapshotMagic)
+		want = binary.LittleEndian.AppendUint32(want, SnapshotVersion)
+		want = binary.LittleEndian.AppendUint32(want, 0)
+		want = binary.LittleEndian.AppendUint64(want, uint64(g.N()))
+		want = binary.LittleEndian.AppendUint64(want, uint64(g.M()))
+		offsets, targets := g.CSR()
+		for _, o := range offsets {
+			want = binary.LittleEndian.AppendUint64(want, uint64(o))
+		}
+		for _, v := range targets {
+			want = binary.LittleEndian.AppendUint64(want, uint64(v))
+		}
+		sum := sha256.Sum256(want)
+		want = append(want, sum[:]...)
+		got := EncodeCSR(g)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: EncodeCSR differs from the word-by-word encoding", name)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%s: EncodeCSR buffer has len %d, cap %d; want an exact-size buffer", name, len(got), cap(got))
+		}
+	}
+}
+
+// TestDecodeCSRChecksInPlace: DecodeCSR accepts a snapshot image as is,
+// with arrays aliasing the image on hosts that can cast it, and rejects a
+// truncated image and a flipped bit in every region with a typed error.
+func TestDecodeCSRChecksInPlace(t *testing.T) {
+	g := graph.ConnectedGnp(40, 0.1, 7)
+	data := EncodeCSR(g)
+	got, err := DecodeCSR(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdenticalCSR(t, g, got)
+	if off, _ := got.CSR(); hostIsCastable() && unsafe.SliceData(off) != (*int64)(unsafe.Pointer(&data[snapshotHeaderLen])) {
+		t.Error("DecodeCSR copied the offsets on a host that can alias them")
+	}
+	bad := map[string][]byte{"truncated": data[:len(data)-1]}
+	for _, off := range []int{0, 8, 16, snapshotHeaderLen, snapshotHeaderLen + 8*(g.N()+1), len(data) - 1} {
+		mut := bytes.Clone(data)
+		mut[off] ^= 0x04
+		bad[fmt.Sprintf("flip@%d", off)] = mut
+	}
+	for name, img := range bad {
+		if _, err := DecodeCSR(img); !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("%s: err = %v, want a typed snapshot error", name, err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"strongdecomp/internal/apps"
@@ -248,6 +249,12 @@ func (s *Service) runApp(ctx context.Context, app string, g *graph.Graph, hash s
 	}
 
 	runStart := time.Now()
+	// One pass computes the per-color diameters behind both the app's
+	// round charges and the reported ScheduleCost.
+	diam, err := apps.ColorDiameters(ctx, g, d)
+	if err != nil {
+		return nil, err
+	}
 	meter := rounds.NewMeter()
 	out := &AppResult{
 		GraphHash:      hash,
@@ -255,26 +262,27 @@ func (s *Service) runApp(ctx context.Context, app string, g *graph.Graph, hash s
 		Algo:           p.Algorithm,
 		Seed:           p.Seed,
 		DecompCacheHit: dres.CacheHit || dres.PeerHit || dres.Shared,
+		ScheduleCost:   apps.ScheduleCostOf(diam),
 	}
 	switch app {
 	case AppMIS:
-		out.InMIS, err = apps.MISContext(ctx, g, d, meter)
+		out.InMIS, err = apps.MISContext(ctx, g, d, diam, meter)
 	case AppColoring:
-		out.ColorOf, err = apps.ColorGraphContext(ctx, g, d, meter)
+		out.ColorOf, err = apps.ColorGraphContext(ctx, g, d, diam, meter)
 		out.PaletteSize = g.MaxDegree() + 1
 	case AppDiameter:
 		out.Diameter = apps.DiameterApprox(g, meter)
 	case AppSpanner:
 		var sp *apps.Spanner
-		sp, err = apps.BuildSpannerContext(ctx, g, d, meter)
+		sp, err = apps.BuildSpannerContext(ctx, g, d, diam, meter)
 		if sp != nil {
 			out.SpannerEdges, out.TreeEdges, out.CrossEdges = sp.Edges, sp.TreeEdges, sp.CrossEdges
 		}
 	}
+	runtime.KeepAlive(g) // see Service.compute
 	if err != nil {
 		return nil, err
 	}
-	out.ScheduleCost = apps.ScheduleCost(g, d)
 	out.Rounds = meter.Rounds()
 	out.Elapsed = time.Since(runStart)
 	if s.cfg.StrictApps {

@@ -2,12 +2,13 @@ package service
 
 // The disk tier of the serving layer. When Config.DataDir is set, the
 // Service becomes persistent: every stored graph is spilled to a binary
-// CSR snapshot (content-addressed by its graphio.Hash, loaded back through
-// the mmap path on a memory miss), and every computed result and app
-// answer is spilled by its tier (tier.go) to a JSON record keyed by
-// (graph hash, params key). Both survive restarts — a rebooted server
-// answers GET /v1/graphs/{hash}, repeated decompositions and repeated app
-// requests without re-upload or recomputation.
+// CSR snapshot (content-addressed by its graphio.Hash) and held in memory
+// as the mapping of that file, loaded back the same way on a memory miss;
+// and every computed result and app answer is spilled by its tier
+// (tier.go) to a JSON record keyed by (graph hash, params key). Both
+// survive restarts — a rebooted server answers GET /v1/graphs/{hash},
+// repeated decompositions and repeated app requests without re-upload or
+// recomputation.
 //
 // Layout under the data directory:
 //
@@ -102,29 +103,47 @@ func (p *persistStore) quarantine(path string) {
 	}
 }
 
-// saveGraph spills g's snapshot if it is not already on disk. Content
-// addressing makes this idempotent: any existing file with this name holds
-// the same graph.
-func (p *persistStore) saveGraph(hash string, g *graph.Graph) {
+// storeGraph spills a graph's snapshot bytes, unless an intact snapshot
+// of the graph is already at its path, and returns the graph mapped from
+// that file; content addressing makes this idempotent. A file at the path
+// that fails its checksum or content hash is quarantined and rewritten
+// from snap. snap must be a snapshot of the graph named hash, checked or
+// encoded by the caller. nil means a failed spill, counted in saveErrors,
+// or a written file that fails its checksum, and the caller keeps its
+// heap graph. Where the host cannot map, the graph returned is read from
+// the file into the heap.
+func (p *persistStore) storeGraph(hash string, snap []byte) *graph.Graph {
 	if !validHash(hash) {
-		return
+		return nil
 	}
 	path := p.graphPath(hash)
 	if _, err := os.Stat(path); err == nil {
-		return
+		if g, ok := p.openGraph(path, hash); ok {
+			return g
+		}
 	}
-	if err := graphio.SaveCSR(path, g); err != nil {
+	if err := writeFileAtomic(path, snap); err != nil {
 		p.saveErrors.Add(1)
-		return
+		return nil
 	}
 	p.graphSaves.Add(1)
+	g, err := graphio.LoadCSRTrusted(path)
+	if err != nil {
+		return nil
+	}
+	return g
+}
+
+// hasGraph reports whether a snapshot of hash is spilled at its path.
+func (p *persistStore) hasGraph(hash string) bool {
+	if !validHash(hash) {
+		return false
+	}
+	_, err := os.Stat(p.graphPath(hash))
+	return err == nil
 }
 
 // loadGraph opens the spilled snapshot of hash, if present and intact.
-// The snapshot's own checksum proves the bytes are as written (the writer
-// only serializes valid graphs, so the structural pass is skipped), and
-// the content hash is recomputed so a misplaced or stale file can never
-// impersonate another graph. Any failure quarantines the file.
 func (p *persistStore) loadGraph(hash string) (*graph.Graph, bool) {
 	if !validHash(hash) {
 		return nil, false
@@ -133,16 +152,24 @@ func (p *persistStore) loadGraph(hash string) (*graph.Graph, bool) {
 	if _, err := os.Stat(path); err != nil {
 		return nil, false
 	}
+	g, ok := p.openGraph(path, hash)
+	if ok {
+		p.graphDiskHits.Add(1)
+	}
+	return g, ok
+}
+
+// openGraph opens the snapshot at path and checks it. The snapshot's own
+// checksum proves the bytes are as written (the writer only serializes
+// valid graphs, so the structural pass is skipped), and the content hash
+// is recomputed so a misplaced or stale file can never impersonate
+// another graph. Any failure quarantines the file.
+func (p *persistStore) openGraph(path, hash string) (*graph.Graph, bool) {
 	g, err := graphio.LoadCSRTrusted(path)
-	if err != nil {
+	if err != nil || graphio.Hash(g) != hash {
 		p.quarantine(path)
 		return nil, false
 	}
-	if graphio.Hash(g) != hash {
-		p.quarantine(path)
-		return nil, false
-	}
-	p.graphDiskHits.Add(1)
 	return g, true
 }
 
@@ -493,9 +520,9 @@ func orNil[T any](s []T) []T {
 }
 
 // writeFileAtomic writes data via an adjacent temp file and a rename, the
-// same crash-safety discipline as graphio.SaveCSR.
+// same crash-safety discipline as the graphio snapshot writer.
 func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".result-tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"strongdecomp/internal/cluster"
@@ -122,11 +123,14 @@ type ClusterHooks struct {
 	// OnResultComputed fires after a freshly computed (not cached, not
 	// peer-served) result has been admitted to the local tiers.
 	OnResultComputed func(graphHash string, paramsKey string, res *Result)
-	// OnGraphStored fires after PutGraph or PutHashedGraph admits a
-	// graph to the local tiers. It does not fire for graphs admitted via
-	// AdmitGraph, which is how replicated copies arrive — again to keep
-	// replication one-directional.
-	OnGraphStored func(graphHash string, g *graph.Graph)
+	// OnGraphStored fires after PutGraph or PutHashedGraph stores a
+	// graph, held already or not, with a function returning the graph's
+	// CSR snapshot: the bytes the disk tier spilled when this put spilled
+	// them, encoded on the first call otherwise. The hook calls it, if at
+	// all, before it returns, and must not modify the bytes. It does not
+	// fire for graphs admitted via AdmitGraph, which is how replicated
+	// copies arrive — again to keep replication one-directional.
+	OnGraphStored func(graphHash string, snapshot func() []byte)
 }
 
 // Service answers decomposition requests through a cache, an in-flight
@@ -320,24 +324,67 @@ func (s *Service) PutGraph(g *graph.Graph) string {
 
 // PutHashedGraph is PutGraph for a caller that already holds g's content
 // hash: hash must be graphio.Hash(g), and is not recomputed. The cluster
-// proxy, which hashes an upload to route it, stores it this way.
+// proxy, which hashes an upload to route it, stores it this way. With a
+// data directory, a graph not yet spilled is encoded once: those bytes
+// are spilled, the graph store keeps the mapped spill file instead of g,
+// and the cluster's OnGraphStored hook gets the same bytes. A graph the
+// memory tier holds and the disk tier has spilled is only refreshed, and
+// the hook encodes it only if it asks for the bytes.
 func (s *Service) PutHashedGraph(hash string, g *graph.Graph) {
-	s.AdmitGraph(hash, g)
-	if h := s.cfg.Cluster.OnGraphStored; h != nil {
-		h(hash, g)
+	held, ok := s.graphs.get(hash)
+	if ok {
+		g = held
+	}
+	var snap []byte
+	snapshot := func() []byte {
+		if snap == nil {
+			snap = graphio.EncodeCSR(g)
+		}
+		return snap
+	}
+	switch {
+	case s.persist != nil && !(ok && s.persist.hasGraph(hash)):
+		// Not held, or held from the heap after a failed spill: spill now.
+		s.storeGraph(hash, g, snapshot())
+	case !ok:
+		s.graphs.put(hash, g)
+	}
+	if hook := s.cfg.Cluster.OnGraphStored; hook != nil {
+		hook(hash, snapshot)
 	}
 }
 
-// AdmitGraph stores g under its content hash in the local tiers (memory,
-// and disk when configured) exactly like PutHashedGraph but without firing
-// the cluster's OnGraphStored hook — the admission path for graph replicas
-// arriving from peers, which must not be re-replicated onward. hash must
-// be graphio.Hash(g); a replica's receiver has verified it already.
-func (s *Service) AdmitGraph(hash string, g *graph.Graph) {
-	s.graphs.put(hash, g)
-	if s.persist != nil {
-		s.persist.saveGraph(hash, g)
+// AdmitGraph stores the graph whose CSR snapshot is snap under its content
+// hash in the local tiers, like PutHashedGraph but without firing the
+// cluster's OnGraphStored hook: the admission path for graph replicas
+// arriving from peers, which must not be re-replicated onward. snap is
+// checked in place — size, checksum, graph invariants, and its content
+// hash against hash — and a snapshot failing any check is rejected with
+// ErrInvalidRequest and stores nothing. With a data directory, the bytes
+// are spilled unchanged and the store keeps the mapped file; without one
+// it keeps a graph over snap, which the caller must leave unmodified.
+func (s *Service) AdmitGraph(hash string, snap []byte) error {
+	g, err := graphio.DecodeCSR(snap)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
+	if got := graphio.Hash(g); got != hash {
+		return fmt.Errorf("%w: snapshot hash %s does not match %s", ErrInvalidRequest, got, hash)
+	}
+	s.storeGraph(hash, g, snap)
+	return nil
+}
+
+// storeGraph admits a graph and its snapshot bytes to the local tiers:
+// with a data directory, the memory tier holds the mapping of the spilled
+// snapshot, and g only when the spill or the mapping fails.
+func (s *Service) storeGraph(hash string, g *graph.Graph, snap []byte) {
+	if s.persist != nil {
+		if mapped := s.persist.storeGraph(hash, snap); mapped != nil {
+			g = mapped
+		}
+	}
+	s.graphs.put(hash, g)
 }
 
 // GetGraph returns the stored graph for a content hash, falling through
@@ -478,6 +525,10 @@ func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*R
 func (s *Service) compute(ctx context.Context, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
 	start := time.Now()
 	o, err := s.cfg.Run(ctx, g, p)
+	// A stored graph may be a mapped snapshot, unmapped once g is
+	// unreachable: keep g reachable while the run may still hold views
+	// of its arrays, even if the store evicts it meanwhile.
+	runtime.KeepAlive(g)
 	if err != nil {
 		return nil, err
 	}

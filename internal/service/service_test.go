@@ -631,7 +631,9 @@ func TestServiceAdmitResultRevalidatedAfterGraphArrives(t *testing.T) {
 
 	// The graph arrives (replica push). Serving the key must recompute,
 	// not echo the wrong-length record out of the memory cache.
-	s.AdmitGraph(hash, g)
+	if err := s.AdmitGraph(hash, graphio.EncodeCSR(g)); err != nil {
+		t.Fatal(err)
+	}
 	res, err := s.Decompose(context.Background(), &Request{Hash: hash, Algo: algo})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"strongdecomp/internal/graph"
-	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/obs"
 	"strongdecomp/internal/service"
 )
@@ -486,10 +484,11 @@ func (c *Cluster) ReplicateResult(graphHash string, paramsKey string, res *servi
 	}()
 }
 
-// ReplicateGraph pushes a newly stored graph's CSR snapshot to its ring
-// successors (once per hash per process — PutGraph fires on every inline
-// request, replication must not).
-func (c *Cluster) ReplicateGraph(graphHash string, g *graph.Graph) {
+// ReplicateGraph pushes a stored graph's CSR snapshot, the bytes the
+// service spilled, to its ring successors as they are (once per hash per
+// process — PutGraph fires on every inline request, replication must not;
+// the snapshot is asked for only when a push is due).
+func (c *Cluster) ReplicateGraph(graphHash string, snapshot func() []byte) {
 	c.mu.Lock()
 	if c.replicated[graphHash] {
 		c.mu.Unlock()
@@ -505,11 +504,7 @@ func (c *Cluster) ReplicateGraph(graphHash string, g *graph.Graph) {
 	if len(targets) == 0 {
 		return
 	}
-	var buf bytes.Buffer
-	if err := graphio.WriteCSR(&buf, g); err != nil {
-		return
-	}
-	data := buf.Bytes()
+	data := snapshot()
 	go func() {
 		for _, m := range targets {
 			if c.push(m, "/internal/graphs/"+graphHash, "application/octet-stream", data) {

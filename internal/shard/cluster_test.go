@@ -96,10 +96,23 @@ type testShard struct {
 	cluster *Cluster
 	srv     *httptest.Server
 	swap    *swapHandler
+	dataDir string // empty unless built by newPersistentTestCluster
 }
 
 // newTestCluster builds an n-shard in-process cluster running algo.
 func newTestCluster(t *testing.T, n int, algo string) []*testShard {
+	t.Helper()
+	return buildTestCluster(t, n, algo, false)
+}
+
+// newPersistentTestCluster is newTestCluster with a data directory per
+// shard.
+func newPersistentTestCluster(t *testing.T, n int, algo string) []*testShard {
+	t.Helper()
+	return buildTestCluster(t, n, algo, true)
+}
+
+func buildTestCluster(t *testing.T, n int, algo string, persist bool) []*testShard {
 	t.Helper()
 	shards := make([]*testShard, n)
 	members := make([]Member, n)
@@ -110,36 +123,7 @@ func newTestCluster(t *testing.T, n int, algo string) []*testShard {
 		members[i] = Member{ID: fmt.Sprintf("s%d", i), URL: srv.URL}
 		shards[i] = &testShard{member: members[i], srv: srv, swap: sw}
 	}
-	for i := range shards {
-		sh := shards[i]
-		// The hooks close over sh so they can late-bind: the service needs
-		// them at construction, before the cluster exists (the same
-		// indirection cmd/serve uses).
-		svc, err := service.New(service.Config{
-			DefaultAlgorithm: algo,
-			Cluster: service.ClusterHooks{
-				PeerLookup: func(ctx context.Context, h, p string, nn int) (*service.Result, bool) {
-					if c := sh.cluster; c != nil {
-						return c.PeerLookup(ctx, h, p, nn)
-					}
-					return nil, false
-				},
-				OnResultComputed: func(h, p string, r *service.Result) {
-					if c := sh.cluster; c != nil {
-						c.ReplicateResult(h, p, r)
-					}
-				},
-				OnGraphStored: func(h string, g *graph.Graph) {
-					if c := sh.cluster; c != nil {
-						c.ReplicateGraph(h, g)
-					}
-				},
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(svc.Close)
+	for _, sh := range shards {
 		// Replicas is explicit: Config honors 0 as "no replication", and
 		// these tests exercise the replication paths.
 		c, err := NewCluster(Config{SelfID: sh.member.ID, Members: members, ProbeInterval: -1, Replicas: 1})
@@ -147,6 +131,14 @@ func newTestCluster(t *testing.T, n int, algo string) []*testShard {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
+		if persist {
+			sh.dataDir = t.TempDir()
+		}
+		svc, err := service.New(service.Config{DefaultAlgorithm: algo, DataDir: sh.dataDir, Cluster: c.Hooks()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
 		sh.svc, sh.cluster = svc, c
 		sh.swap.set(c.Handler(svc, httpapi.New(svc,
 			httpapi.WithReadiness(c.Ready),

@@ -9,14 +9,12 @@ package shard
 // exactly a record that could have been read from local disk.
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/service"
 )
 
@@ -71,28 +69,20 @@ func (p *proxy) internalCachePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // internalGraphPut serves PUT /internal/graphs/{hash}: replica
-// admission of a graph snapshot pushed by a peer. The body is a CSR
-// snapshot; its content hash must match the path, so a corrupt or
-// misdirected push cannot poison the store under a wrong name. The hash
-// computed for that check is the only one: the graph is admitted under
-// the verified path hash.
+// admission of a graph snapshot pushed by a peer. The service checks the
+// body in place — checksum, graph invariants, and its content hash
+// against the path, so a corrupt or misdirected push cannot poison the
+// store under a wrong name — and spills the same bytes.
 func (p *proxy) internalGraphPut(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBodyBytes))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	g, err := graphio.ReadCSR(bytes.NewReader(data))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decode snapshot: %w", err))
+	if err := p.svc.AdmitGraph(r.PathValue("hash"), data); err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	if got := graphio.Hash(g); got != hash {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("snapshot hash %s does not match path %s", got, hash))
-		return
-	}
-	p.svc.AdmitGraph(hash, g)
 	w.WriteHeader(http.StatusNoContent)
 }
 
