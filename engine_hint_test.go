@@ -56,8 +56,12 @@ func TestEngineMatchesDirectDecompose(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The components run simultaneously: one parallel phase, the
+			// max across them.
 			wantRounds := rounds.NewMeter()
-			mergeParallelInto(wantRounds, meters)
+			for _, m := range meters {
+				wantRounds.MergeParallel(m)
+			}
 			if got, exp := mustJSON(t, out.Decomposition), mustJSON(t, want); got != exp {
 				t.Fatalf("engine and direct decompositions differ:\n%s\n%s", got, exp)
 			}

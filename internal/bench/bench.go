@@ -14,6 +14,7 @@ import (
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/congest"
 	"strongdecomp/internal/core"
+	"strongdecomp/internal/engine"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/registry"
@@ -119,7 +120,9 @@ func selected(only []string) (func(string) bool, error) {
 // in the CONGEST model) as a measured experiment on an n-node workload. It
 // iterates the algorithm registry, so a newly registered construction gets
 // a measured row with no harness edit; the optional `only` list restricts
-// the run to the named constructions.
+// the run to the named constructions. Every row runs on one engine, the
+// path the library and the service take: a disconnected file workload is
+// decomposed per component and merged.
 func Table1(family string, n int, seed int64, only ...string) ([]Row, error) {
 	g, err := Workload(family, n, seed)
 	if err != nil {
@@ -129,20 +132,17 @@ func Table1(family string, n int, seed int64, only ...string) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng := engine.New()
 	var out []Row
 	for _, info := range registry.Infos() {
 		if !keep(info.Name) {
 			continue
 		}
-		dec, err := registry.Lookup(info.Name)
-		if err != nil {
-			return nil, err
-		}
-		m := rounds.NewMeter()
-		d, err := dec.Decompose(context.Background(), g, &registry.RunOptions{Seed: seed, Meter: m})
+		res, err := eng.Run(context.Background(), g, registry.Params{Algorithm: info.Name, Seed: seed, Meter: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: table1 %s: %w", info.Name, err)
 		}
+		d := res.Decomposition
 		if err := cluster.CheckDecomposition(g, d, -1, false); err != nil {
 			return nil, fmt.Errorf("bench: table1 %s invalid: %w", info.Name, err)
 		}
@@ -153,7 +153,7 @@ func Table1(family string, n int, seed int64, only ...string) ([]Row, error) {
 			N: g.N(), Colors: d.Colors,
 			StrongDiam: cluster.MaxStrongDiameter(g, members),
 			WeakDiam:   cluster.MaxWeakDiameter(g, members),
-			Rounds:     m.Rounds(), Clusters: d.K,
+			Rounds:     res.Rounds, Clusters: d.K,
 			PaperColors: info.PaperColors, PaperDiam: info.PaperDecompDiam,
 			PaperRounds: info.PaperDecompRounds,
 		})
@@ -164,7 +164,8 @@ func Table1(family string, n int, seed int64, only ...string) ([]Row, error) {
 // Table2 reproduces the rows of the paper's Table 2 (ball carving) at a
 // given boundary parameter eps. Like Table1 it iterates the registry;
 // constructions without a calibrated eps-carving bound (empty
-// PaperCarveDiam, e.g. the sequential baseline) are skipped.
+// PaperCarveDiam, e.g. the sequential baseline) are skipped, and every row
+// runs on one engine.
 func Table2(family string, n int, eps float64, seed int64, only ...string) ([]Row, error) {
 	g, err := Workload(family, n, seed)
 	if err != nil {
@@ -174,20 +175,19 @@ func Table2(family string, n int, eps float64, seed int64, only ...string) ([]Ro
 	if err != nil {
 		return nil, err
 	}
+	eng := engine.New()
 	var out []Row
 	for _, info := range registry.Infos() {
 		if !keep(info.Name) || info.PaperCarveDiam == "" {
 			continue
 		}
-		dec, err := registry.Lookup(info.Name)
-		if err != nil {
-			return nil, err
-		}
-		m := rounds.NewMeter()
-		c, err := dec.Carve(context.Background(), g, eps, &registry.RunOptions{Seed: seed, Meter: m})
+		res, err := eng.Run(context.Background(), g, registry.Params{
+			Algorithm: info.Name, Kind: registry.KindCarve, Eps: eps, Seed: seed, Meter: true,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: table2 %s: %w", info.Name, err)
 		}
+		c := res.Carving
 		if err := cluster.CheckCarving(g, nil, c, eps, -1); err != nil {
 			return nil, fmt.Errorf("bench: table2 %s invalid: %w", info.Name, err)
 		}
@@ -198,7 +198,7 @@ func Table2(family string, n int, eps float64, seed int64, only ...string) ([]Ro
 			N: g.N(), Eps: eps,
 			StrongDiam: cluster.MaxStrongDiameter(g, members),
 			WeakDiam:   cluster.MaxWeakDiameter(g, members),
-			Rounds:     m.Rounds(), DeadFrac: c.DeadFraction(nil), Clusters: c.K,
+			Rounds:     res.Rounds, DeadFrac: c.DeadFraction(nil), Clusters: c.K,
 			PaperDiam: info.PaperCarveDiam, PaperRounds: info.PaperCarveRounds,
 		})
 	}

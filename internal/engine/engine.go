@@ -1,4 +1,17 @@
-package strongdecomp
+// Package engine runs every Params: an Engine owns a worker pool and a
+// free list of per-worker scratch buffers, decomposes the connected
+// components of a graph concurrently, and batches runs over many graphs.
+// The strongdecomp facade, the serving layer and the paper-table harness
+// all run on it, so they answer the same Params identically.
+//
+// Per-component parallelism is sound for network decomposition: distinct
+// connected components are non-adjacent, so their decompositions are
+// independent and their color sets may overlap. In the distributed model
+// the components literally run simultaneously, which is why the attached
+// Meter folds component costs with MergeParallel (max) rather than
+// sequentially (sum). Components are the engine's only unit of
+// parallelism: inside one component every traversal is sequential.
+package engine
 
 import (
 	"context"
@@ -10,28 +23,16 @@ import (
 
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/core"
+	"strongdecomp/internal/graph"
 	"strongdecomp/internal/obs"
 	"strongdecomp/internal/registry"
 	"strongdecomp/internal/rounds"
 )
 
-// Engine executes decompositions at scale: it owns a worker pool and a
-// free list of per-worker scratch buffers, decomposes the connected components
-// of a graph concurrently, and batches runs over many graphs. It is the one
-// path every Params takes: Run, BallCarve and Decompose run on a per-call
-// Engine, and NewService shares one Engine across every algorithm, so the
-// library, the CLIs and the service answer the same Params identically.
-// All methods honor context cancellation and deadlines (returning errors
-// matching ErrCanceled) and are safe for concurrent use from multiple
+// Engine runs registered constructions over a worker pool. All methods
+// honor context cancellation and deadlines (returning errors matching
+// registry.ErrCanceled) and are safe for concurrent use from multiple
 // goroutines — one Engine is meant to be shared by a whole serving process.
-//
-// Per-component parallelism is sound for network decomposition: distinct
-// connected components are non-adjacent, so their decompositions are
-// independent and their color sets may overlap. In the distributed model
-// the components literally run simultaneously, which is why the attached
-// Meter folds component costs with MergeParallel (max) rather than
-// sequentially (sum). Components are the engine's only unit of
-// parallelism: inside one component every traversal is sequential.
 type Engine struct {
 	algo    string
 	workers int
@@ -87,11 +88,11 @@ func (e *Engine) putScratch(s *core.Scratch) {
 	}
 }
 
-// EngineOption configures NewEngine.
-type EngineOption func(*Engine)
+// Option configures New.
+type Option func(*Engine)
 
 // WithWorkers sets the worker-pool size (default runtime.GOMAXPROCS(0)).
-func WithWorkers(n int) EngineOption {
+func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.workers = n
@@ -99,18 +100,18 @@ func WithWorkers(n int) EngineOption {
 	}
 }
 
-// WithEngineAlgorithm selects the registered construction the engine runs
+// WithAlgorithm selects the registered construction the engine runs
 // (default the paper's "chang-ghaffari"). The name is resolved at run time,
-// so constructions registered after NewEngine are reachable too.
-func WithEngineAlgorithm(name string) EngineOption {
+// so constructions registered after New are reachable too.
+func WithAlgorithm(name string) Option {
 	return func(e *Engine) { e.algo = name }
 }
 
-// NewEngine returns an engine running the given construction over a worker
+// New returns an engine running the given construction over a worker
 // pool.
-func NewEngine(opts ...EngineOption) *Engine {
+func New(opts ...Option) *Engine {
 	e := &Engine{
-		algo:    DefaultAlgorithm,
+		algo:    registry.DefaultAlgorithm,
 		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
@@ -129,10 +130,10 @@ func (e *Engine) Algorithm() string { return e.algo }
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// EngineStats is a point-in-time snapshot of the engine's execution
+// Stats is a point-in-time snapshot of the engine's execution
 // counters — the observability surface consumed by the serving layer's
 // /metrics endpoint, so external code never reaches into engine internals.
-type EngineStats struct {
+type Stats struct {
 	// Algorithm is the registry name of the construction the engine runs.
 	Algorithm string
 	// Workers is the configured worker-pool size.
@@ -158,8 +159,8 @@ type EngineStats struct {
 // Stats returns a snapshot of the engine's execution counters. It is safe
 // to call concurrently with running work; counters are read atomically
 // (individually, not as one consistent cut).
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
+func (e *Engine) Stats() Stats {
+	return Stats{
 		Algorithm:       e.algo,
 		Workers:         e.workers,
 		Runs:            e.runs.Load(),
@@ -172,7 +173,7 @@ func (e *Engine) Stats() EngineStats {
 
 // Counters flattens the snapshot into the name → value form expvar-style
 // metrics endpoints publish.
-func (s EngineStats) Counters() map[string]int64 {
+func (s Stats) Counters() map[string]int64 {
 	return map[string]int64{
 		"workers":          int64(s.Workers),
 		"runs":             s.Runs,
@@ -226,36 +227,44 @@ func (c *stageClock) take() []registry.StageTiming {
 // construction runs, multi-component graphs run their components
 // concurrently on the worker pool, and metering is opt-in via p.Meter
 // with the total reported on Outcome.Rounds.
-func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) {
-	if p.Algorithm == "" {
-		p.Algorithm = e.algo
-	}
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, p registry.Params) (*registry.Outcome, error) {
 	var meter *rounds.Meter
 	if p.Meter {
 		meter = rounds.NewMeter()
 	}
-	// The stage clock exists only on instrumented contexts (see
-	// newStageClock), so Outcome.Stages costs nothing when nobody asked.
-	return e.run(ctx, g, p, meter, newStageClock(ctx))
+	return RunInto(ctx, e, g, p, meter)
 }
 
-// run is the one execution path behind Run, DecomposeBatch and the
-// package-level facade. It normalizes and validates p, then splits g into
-// connected components (a carving restricted to p.Nodes is not split). A
-// single component runs on the calling goroutine with the connected hint;
-// several fan out over the worker pool, component i with seed p.Seed+i,
-// and are merged — sound for both kinds, since distinct components are
-// non-adjacent and each carving removes at most an eps fraction of its
-// own component. The kind matters only at the construction call and at
-// the merge. dst (which may be nil) receives the parallel (max) fold of
-// the per-component costs; sc (which may be nil) receives the phase
-// boundaries.
-func (e *Engine) run(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Outcome, error) {
+// RunInto is e.Run with the cost going to a caller-owned meter: dst (which
+// may be nil) receives the run's cost on top of what it already holds, and
+// Outcome.Rounds reports dst's total. The facade's WithMeter and the
+// paper-table harness run through it. It is a function, not a method, so
+// the facade's Engine alias does not export it.
+func RunInto(ctx context.Context, e *Engine, g *graph.Graph, p registry.Params, dst *rounds.Meter) (*registry.Outcome, error) {
+	// The stage clock exists only on instrumented contexts (see
+	// newStageClock), so Outcome.Stages costs nothing when nobody asked.
+	return e.run(ctx, g, p, dst, newStageClock(ctx))
+}
+
+// run is the one execution path behind Run, RunInto and DecomposeBatch.
+// It normalizes and validates p, then splits g into connected components
+// (a carving restricted to p.Nodes is not split). A single component runs
+// on the calling goroutine with the connected hint; several fan out over
+// the worker pool, component i with seed p.Seed+i, and are merged — sound
+// for both kinds, since distinct components are non-adjacent and each
+// carving removes at most an eps fraction of its own component. The kind
+// matters only at the construction call and at the merge. dst (which may
+// be nil) receives the parallel (max) fold of the per-component costs; sc
+// (which may be nil) receives the phase boundaries.
+func (e *Engine) run(ctx context.Context, g *graph.Graph, p registry.Params, dst *rounds.Meter, sc *stageClock) (*registry.Outcome, error) {
+	if p.Algorithm == "" {
+		p.Algorithm = e.algo
+	}
 	p = p.Normalized()
 	if err := p.ValidateFor(g.N()); err != nil {
 		return nil, err
 	}
-	d, err := Lookup(p.Algorithm)
+	d, err := registry.Lookup(p.Algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -269,12 +278,12 @@ func (e *Engine) run(ctx context.Context, g *Graph, p Params, dst *rounds.Meter,
 		e.runs.Add(1)
 		// Without a node subset, g is the one component the split just
 		// found.
-		var connected *Graph
+		var connected *graph.Graph
 		if p.Nodes == nil {
 			connected = g
 		}
 		ws := e.getScratch()
-		piece, err = construct(core.WithScratch(ctx, ws, connected), d, g, p, &RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
+		piece, err = construct(core.WithScratch(ctx, ws, connected), d, g, p, &registry.RunOptions{Seed: p.Seed, Meter: dst, Nodes: p.Nodes})
 		e.putScratch(ws)
 		sc.mark("carve-rounds")
 	} else {
@@ -283,7 +292,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, p Params, dst *rounds.Meter,
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Params: p, Carving: piece.C, Decomposition: piece.D, Stages: sc.take()}
+	out := &registry.Outcome{Params: p, Carving: piece.C, Decomposition: piece.D, Stages: sc.take()}
 	if dst != nil {
 		out.Rounds = dst.Rounds()
 	}
@@ -292,7 +301,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, p Params, dst *rounds.Meter,
 
 // fanOut runs d on every component of g on the worker pool and merges the
 // pieces into one host-graph result.
-func (e *Engine) fanOut(ctx context.Context, d Decomposer, g *Graph, comps [][]int, p Params, dst *rounds.Meter, sc *stageClock) (cluster.Piece, error) {
+func (e *Engine) fanOut(ctx context.Context, d registry.Decomposer, g *graph.Graph, comps [][]int, p registry.Params, dst *rounds.Meter, sc *stageClock) (cluster.Piece, error) {
 	e.merges.Add(1)
 	pieces := make([]cluster.Piece, len(comps))
 	meters := make([]*rounds.Meter, len(comps))
@@ -302,7 +311,7 @@ func (e *Engine) fanOut(ctx context.Context, d Decomposer, g *Graph, comps [][]i
 		defer e.putScratch(ws)
 		sub, nodeOf := ws.InducedSubgraph(g, comps[i])
 		meters[i] = rounds.NewMeter()
-		piece, err := construct(core.WithScratch(ctx, ws, sub), d, sub, p, &RunOptions{Seed: p.Seed + int64(i), Meter: meters[i]})
+		piece, err := construct(core.WithScratch(ctx, ws, sub), d, sub, p, &registry.RunOptions{Seed: p.Seed + int64(i), Meter: meters[i]})
 		if err != nil {
 			return fmt.Errorf("component %d: %w", i, err)
 		}
@@ -316,7 +325,7 @@ func (e *Engine) fanOut(ctx context.Context, d Decomposer, g *Graph, comps [][]i
 	sc.mark("carve-rounds")
 	mergeParallelInto(dst, meters)
 	var merged cluster.Piece
-	if p.Kind == KindCarve {
+	if p.Kind == registry.KindCarve {
 		merged.C, err = cluster.MergeCarvings(g.N(), pieces)
 	} else {
 		merged.D, err = cluster.MergeDecompositions(g.N(), pieces)
@@ -327,8 +336,8 @@ func (e *Engine) fanOut(ctx context.Context, d Decomposer, g *Graph, comps [][]i
 
 // construct runs d on g for p's kind; the returned piece holds the one
 // result matching the kind.
-func construct(ctx context.Context, d Decomposer, g *Graph, p Params, ro *RunOptions) (cluster.Piece, error) {
-	if p.Kind == KindCarve {
+func construct(ctx context.Context, d registry.Decomposer, g *graph.Graph, p registry.Params, ro *registry.RunOptions) (cluster.Piece, error) {
+	if p.Kind == registry.KindCarve {
 		c, err := d.Carve(ctx, g, p.Eps, ro)
 		return cluster.Piece{C: c}, err
 	}
@@ -340,14 +349,14 @@ func construct(ctx context.Context, d Decomposer, g *Graph, p Params, ro *RunOpt
 // returns the results in input order. Graph i runs with seed opts.Seed + i,
 // and its components fan out over the pool like any other run's. The
 // first failure (including cancellation) cancels the remaining work.
-func (e *Engine) DecomposeBatch(ctx context.Context, gs []*Graph, opts *RunOptions) ([]*Decomposition, error) {
+func (e *Engine) DecomposeBatch(ctx context.Context, gs []*graph.Graph, opts *registry.RunOptions) ([]*cluster.Decomposition, error) {
 	e.batches.Add(1)
 	o := opts.Normalized()
-	out := make([]*Decomposition, len(gs))
+	out := make([]*cluster.Decomposition, len(gs))
 	meters := make([]*rounds.Meter, len(gs))
 	err := e.runPool(ctx, len(gs), func(ctx context.Context, i int) error {
 		meters[i] = rounds.NewMeter()
-		res, err := e.run(ctx, gs[i], Params{Algorithm: e.algo, Seed: o.Seed + int64(i)}, meters[i], nil)
+		res, err := e.run(ctx, gs[i], registry.Params{Seed: o.Seed + int64(i)}, meters[i], nil)
 		if err != nil {
 			return fmt.Errorf("graph %d: %w", i, err)
 		}
@@ -378,7 +387,7 @@ func mergeParallelInto(dst *rounds.Meter, meters []*rounds.Meter) {
 
 // runPool executes fn(ctx, 0..n-1) on the engine's worker pool. The first
 // error cancels the remaining tasks and is returned; a canceled parent
-// context yields an error matching ErrCanceled.
+// context yields an error matching registry.ErrCanceled.
 func (e *Engine) runPool(parent context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return registry.CtxErr(parent)
@@ -440,7 +449,7 @@ feed:
 // component slices are allocated once the list holds a scratch grown to
 // g's size. A connected g yields one component with nil members, which
 // the engine never reads, so its split copies no node list.
-func (e *Engine) components(g *Graph) [][]int {
+func (e *Engine) components(g *graph.Graph) [][]int {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	return s.Components(g, nil)

@@ -6,12 +6,11 @@ package registry
 // source of request defaults (Normalized), request validation (Validate),
 // and cache identity (the canonical binary encoding behind Key). The
 // facade, the Engine, the serving layer, and the HTTP API all resolve
-// their inputs into a Params and hand it to the Engine (or, as the
-// service's fallback backend, to Run); the legacy (eps float64,
-// *RunOptions) signatures survive only as thin shims.
+// their inputs into a Params and hand it to the Engine
+// (internal/engine); the legacy (eps float64, *RunOptions) signatures
+// survive only as thin shims.
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,8 +18,6 @@ import (
 	"time"
 
 	"strongdecomp/internal/cluster"
-	"strongdecomp/internal/graph"
-	"strongdecomp/internal/rounds"
 )
 
 // ErrInvalidParams marks a Params value that cannot be executed (unknown
@@ -50,8 +47,8 @@ const DefaultAlgorithm = "chang-ghaffari"
 // an HTTP body also addresses the serving layer's result cache.
 //
 // The zero value is not directly runnable; call Normalized to fill
-// defaults (algorithm, kind) before Validate or manual dispatch. Run and
-// the Engine normalize internally.
+// defaults (algorithm, kind) before Validate or manual dispatch. The
+// Engine normalizes internally.
 type Params struct {
 	// Algorithm is a registry name; empty means DefaultAlgorithm.
 	Algorithm string
@@ -311,7 +308,7 @@ type StageTiming struct {
 
 // Outcome is the result of executing one Params: exactly one of Carving
 // and Decomposition is set, matching Params.Kind. It is the canonical
-// result shape shared by Run, the Engine, and the serving layer.
+// result shape shared by the Engine, the facade, and the serving layer.
 type Outcome struct {
 	// Params is the normalized value the run executed under.
 	Params Params
@@ -322,43 +319,9 @@ type Outcome struct {
 	// Rounds is the simulated CONGEST round total when Params.Meter was
 	// set (0 otherwise).
 	Rounds int64
-	// Stages is the per-phase wall-clock breakdown of the run. It is
-	// populated only by backends with phase structure (the Engine) and
-	// only when the caller's context carries an observability collector —
-	// nil otherwise, so un-instrumented runs pay nothing for it.
+	// Stages is the engine's per-phase wall-clock breakdown of the run
+	// (split, carve-rounds, merge). It is populated only when the
+	// caller's context carries an observability collector — nil
+	// otherwise, so un-instrumented runs pay nothing for it.
 	Stages []StageTiming
-}
-
-// Run normalizes and validates p, resolves its algorithm through Lookup,
-// and executes it on g as one graph, with no component split. It is the
-// serving layer's default backend when no other is configured; the
-// public entry points run every Params through strongdecomp's Engine,
-// which decomposes each connected component separately.
-func Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error) {
-	p = p.Normalized()
-	if err := p.ValidateFor(g.N()); err != nil {
-		return nil, err
-	}
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	var meter *rounds.Meter
-	if p.Meter {
-		meter = rounds.NewMeter()
-	}
-	opts := &RunOptions{Seed: p.Seed, Meter: meter, Nodes: p.Nodes}
-	out := &Outcome{Params: p}
-	if p.Kind == KindCarve {
-		out.Carving, err = d.Carve(ctx, g, p.Eps, opts)
-	} else {
-		out.Decomposition, err = d.Decompose(ctx, g, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if meter != nil {
-		out.Rounds = meter.Rounds()
-	}
-	return out, nil
 }

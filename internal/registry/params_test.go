@@ -2,13 +2,9 @@ package registry
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math"
 	"testing"
-
-	"strongdecomp/internal/cluster"
-	"strongdecomp/internal/graph"
 )
 
 func TestParamsNormalizedDefaults(t *testing.T) {
@@ -159,82 +155,6 @@ func TestDecodeParamsRejectsCorruptInput(t *testing.T) {
 	}
 	if _, err := DecodeParams(nil); err == nil {
 		t.Error("empty input decoded")
-	}
-}
-
-// stubDecomposer registers a trivial construction (every node its own
-// cluster, one color) under name and returns a cleanup-registered handle,
-// so execution-path tests need no real algorithm package (importing one
-// here would be an import cycle).
-func stubDecomposer(t *testing.T, name string) {
-	t.Helper()
-	MustRegister(name, func() Decomposer {
-		return Funcs{
-			Meta: Info{Name: name},
-			CarveFunc: func(ctx context.Context, g *graph.Graph, eps float64, o RunOptions) (*cluster.Carving, error) {
-				if o.Meter != nil {
-					o.Meter.Charge("stub", 1)
-				}
-				assign := make([]int, g.N())
-				for i := range assign {
-					assign[i] = i
-				}
-				return &cluster.Carving{Assign: assign, K: g.N()}, nil
-			},
-			DecomposeFunc: func(ctx context.Context, g *graph.Graph, o RunOptions) (*cluster.Decomposition, error) {
-				if o.Meter != nil {
-					o.Meter.Charge("stub", 1)
-				}
-				assign := make([]int, g.N())
-				color := make([]int, g.N())
-				for i := range assign {
-					assign[i] = i
-				}
-				return &cluster.Decomposition{Assign: assign, Color: color, K: g.N(), Colors: 1}, nil
-			},
-		}
-	})
-	t.Cleanup(func() { Unregister(name) })
-}
-
-// TestRegistryRun covers the canonical one-call entry: both kinds,
-// metering, and unknown-algorithm / invalid-params errors.
-func TestRegistryRun(t *testing.T) {
-	stubDecomposer(t, "test-params-run")
-	g, err := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), g, Params{Algorithm: "test-params-run", Meter: true})
-	if err != nil {
-		t.Fatalf("Run(decompose): %v", err)
-	}
-	if out.Decomposition == nil || out.Carving != nil {
-		t.Fatal("decompose outcome shape wrong")
-	}
-	if out.Params.Kind != KindDecompose {
-		t.Errorf("outcome params not normalized: %+v", out.Params)
-	}
-	if out.Rounds <= 0 {
-		t.Error("metered run reports no rounds")
-	}
-
-	out, err = Run(context.Background(), g, Params{Algorithm: "test-params-run", Kind: KindCarve, Eps: 0.5})
-	if err != nil {
-		t.Fatalf("Run(carve): %v", err)
-	}
-	if out.Carving == nil || out.Decomposition != nil {
-		t.Fatal("carve outcome shape wrong")
-	}
-	if out.Rounds != 0 {
-		t.Error("unmetered run reports rounds")
-	}
-
-	if _, err := Run(context.Background(), g, Params{Algorithm: "no-such"}); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("unknown algorithm error = %v", err)
-	}
-	if _, err := Run(context.Background(), g, Params{Algorithm: "test-params-run", Kind: KindCarve, Eps: math.NaN()}); !errors.Is(err, ErrInvalidParams) {
-		t.Errorf("NaN eps error = %v", err)
 	}
 }
 

@@ -115,8 +115,9 @@ func TestServiceHTTPHealthzDetail(t *testing.T) {
 }
 
 // TestServiceHTTPMetricsPrometheus: the default /metrics body is a
-// text-exposition document whose counters move with traffic, and cluster
-// stats surface under the strongdecomp_shard_ prefix.
+// text-exposition document whose counters move with traffic, the engine's
+// counters surface under strongdecomp_runner, and cluster stats surface
+// under the strongdecomp_shard_ prefix.
 func TestServiceHTTPMetricsPrometheus(t *testing.T) {
 	srv, algo := newOptsServer(t, WithClusterStats(func() map[string]int64 {
 		return map[string]int64{"proxied_total": 7, "peers_down": 1}
@@ -143,6 +144,10 @@ func TestServiceHTTPMetricsPrometheus(t *testing.T) {
 		"strongdecomp_shard_proxied_total 7",
 		"# TYPE strongdecomp_shard_peers_down gauge",
 		"strongdecomp_shard_peers_down 1",
+		// The one compute ran on the service's engine: one connected
+		// component, one construction run.
+		"# TYPE strongdecomp_runner untyped",
+		"strongdecomp_runner{counter=\"runs\"} 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

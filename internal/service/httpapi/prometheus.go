@@ -108,11 +108,9 @@ func writePrometheus(w io.Writer, st service.Stats, shard map[string]int64, col 
 	p.family("strongdecomp_jobs_queue_depth", "Async jobs waiting in the bounded queue.", "gauge")
 	p.sample("strongdecomp_jobs_queue_depth", "", float64(st.Jobs.Queued))
 
-	if len(st.Runner) > 0 {
-		p.family("strongdecomp_runner", "Backend (engine) counters, by counter name.", "untyped")
-		for _, k := range sortedKeys(st.Runner) {
-			p.sample("strongdecomp_runner", promLabel("counter", k), float64(st.Runner[k]))
-		}
+	p.family("strongdecomp_runner", "Engine counters, by counter name.", "untyped")
+	for _, k := range sortedKeys(st.Runner) {
+		p.sample("strongdecomp_runner", promLabel("counter", k), float64(st.Runner[k]))
 	}
 
 	if st.Persist != nil {

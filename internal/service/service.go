@@ -14,11 +14,10 @@
 // bit-identical to a recomputed one and the hot path of a repeated
 // decomposition drops from O(BFS) to O(1).
 //
-// The package depends only on the internal substrate (graph, cluster,
-// registry, rounds, graphio); the execution backend is injected as
-// Config.Run, a function of the canonical Params. The facade's NewService
-// wires in one strongdecomp.Engine's Run; without one the service falls
-// back to registry.Run.
+// Every computation runs on one engine.Engine the service builds for
+// itself and shares across every algorithm: the same path the library and
+// the CLIs take, so the service answers a Params exactly as
+// strongdecomp.Run does, connected components split and merged.
 package service
 
 import (
@@ -30,6 +29,7 @@ import (
 	"time"
 
 	"strongdecomp/internal/cluster"
+	"strongdecomp/internal/engine"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/obs"
@@ -47,17 +47,13 @@ var (
 	ErrUnknownGraph = errors.New("service: unknown graph hash")
 )
 
-// Config parameterizes New. The zero value is serviceable: registry.Run as
-// the backend, the paper's construction as default algorithm, and default
-// cache sizes.
+// Config parameterizes New. The zero value is serviceable: an engine
+// pool of GOMAXPROCS workers, the paper's construction as default
+// algorithm, and default cache sizes.
 type Config struct {
-	// Run executes one normalized Params on a graph: the execution
-	// backend for every algorithm. Nil means registry.Run (no component
-	// split, no engine parallelism).
-	Run func(ctx context.Context, g *graph.Graph, p registry.Params) (*registry.Outcome, error)
-	// RunnerStats, when non-nil, contributes backend counters (e.g. engine
-	// pool stats) to Stats().Runner.
-	RunnerStats func() map[string]int64
+	// Workers sizes the worker pool of the service's engine; 0 means
+	// runtime.GOMAXPROCS(0).
+	Workers int
 	// DefaultAlgorithm is used when a request names none; default
 	// "chang-ghaffari".
 	DefaultAlgorithm string
@@ -88,7 +84,7 @@ type Config struct {
 	// the job subsystem — Submit fails with ErrQueueFull).
 	JobQueue int
 	// JobWorkers is the number of goroutines draining the job queue
-	// (default 2). Each job still fans out over the backend's own pool.
+	// (default 2). Each job still fans out over the engine's pool.
 	JobWorkers int
 	// JobTTL is how long a finished job's result is retained for
 	// retrieval before it is purged (default 15 minutes).
@@ -134,10 +130,11 @@ type ClusterHooks struct {
 }
 
 // Service answers decomposition requests through a cache, an in-flight
-// deduplicator, and an injected execution backend. It is safe for
-// concurrent use — one Service is meant to serve a whole process.
+// deduplicator, and an engine. It is safe for concurrent use — one
+// Service is meant to serve a whole process.
 type Service struct {
 	cfg     Config
+	engine  *engine.Engine
 	graphs  *graphStore
 	persist *persistStore // nil when Config.DataDir is empty
 	results *tier[*Result]
@@ -150,9 +147,6 @@ type Service struct {
 // New builds a Service from cfg. It fails only when Config.DataDir is set
 // and the data-directory layout cannot be created.
 func New(cfg Config) (*Service, error) {
-	if cfg.Run == nil {
-		cfg.Run = registry.Run
-	}
 	if cfg.DefaultAlgorithm == "" {
 		cfg.DefaultAlgorithm = registry.DefaultAlgorithm
 	}
@@ -179,6 +173,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:    cfg,
+		engine: engine.New(engine.WithWorkers(cfg.Workers)),
 		graphs: newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
 		stats:  newStatsTable(),
 		start:  time.Now(),
@@ -444,7 +439,7 @@ func (s *Service) AdmitResult(graphHash string, paramsKey string, data []byte) e
 
 // Run serves one request of the given kind (empty means decompose)
 // through the shared request path: canonicalize to Params → resolve
-// graph → cache → singleflight → backend. Decompose and Carve are Run
+// graph → cache → singleflight → engine. Decompose and Carve are Run
 // with a fixed kind.
 func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*Result, error) {
 	p, err := s.params(kind, req)
@@ -520,11 +515,11 @@ func (s *Service) Run(ctx context.Context, kind registry.Kind, req *Request) (*R
 	return res, nil
 }
 
-// compute runs the canonical Params on the backend and packages the
+// compute runs the canonical Params on the engine and packages the
 // result.
 func (s *Service) compute(ctx context.Context, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
 	start := time.Now()
-	o, err := s.cfg.Run(ctx, g, p)
+	o, err := s.engine.Run(ctx, g, p)
 	// A stored graph may be a mapped snapshot, unmapped once g is
 	// unreachable: keep g reachable while the run may still hold views
 	// of its arrays, even if the store evicts it meanwhile.

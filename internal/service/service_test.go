@@ -540,7 +540,13 @@ func TestServiceDefaultAlgorithm(t *testing.T) {
 
 // TestServiceRequestTimeoutBoundsOnlyCaller: a request's own Timeout
 // bounds that caller's wait, not the shared flight — a concurrent
-// identical request without a timeout still receives the result.
+// identical request without a timeout still receives the result. The
+// patient caller starts the flight, so the flight exists until it is
+// served; the impatient caller joins it under the group lock before its
+// wait can see its deadline, so it leaves a flight of two parties however
+// early that deadline fires. (A leader that leaves before anyone joins
+// abandons its flight, which TestServiceAbandonedFlightCanceled pins; a
+// leader leaving a joined flight is TestServiceLeaderCancelDoesNotPoisonFollowers.)
 func TestServiceRequestTimeoutBoundsOnlyCaller(t *testing.T) {
 	gate := make(chan struct{})
 	algo, count := registerStub(t, gate)
@@ -548,46 +554,45 @@ func TestServiceRequestTimeoutBoundsOnlyCaller(t *testing.T) {
 	g := graph.Grid(4, 4)
 	req := func(d time.Duration) *Request { return &Request{Graph: g, Algo: algo, Seed: 2, Timeout: d} }
 
-	// Impatient leader: 5ms wait bound on an open-gated computation.
-	var leaderErr error
-	var leaderWG sync.WaitGroup
-	leaderWG.Add(1)
+	// Patient leader: no timeout, on a computation held by the gate.
+	var (
+		patientRes *Result
+		patientErr error
+		patientWG  sync.WaitGroup
+	)
+	patientWG.Add(1)
 	go func() {
-		defer leaderWG.Done()
-		_, leaderErr = s.Decompose(context.Background(), req(5*time.Millisecond))
+		defer patientWG.Done()
+		patientRes, patientErr = s.Decompose(context.Background(), req(0))
 	}()
 	waitForCondition(t, func() bool { return count.Load() == 1 })
 
-	// Patient follower joins the same flight with no timeout.
-	var (
-		followerRes *Result
-		followerErr error
-		followerWG  sync.WaitGroup
-	)
-	followerWG.Add(1)
-	go func() {
-		defer followerWG.Done()
-		followerRes, followerErr = s.Decompose(context.Background(), req(0))
-	}()
+	// Impatient follower: joins the flight with a 5ms wait bound, which
+	// fires while the gate is closed.
+	if _, err := s.Decompose(context.Background(), req(5*time.Millisecond)); !errors.Is(err, registry.ErrCanceled) {
+		t.Fatalf("impatient caller err = %v, want ErrCanceled", err)
+	}
+	if st := s.Stats().Algorithms[algo]; st.DedupShared != 1 {
+		t.Fatalf("DedupShared = %d, want 1: the impatient caller did not join the flight", st.DedupShared)
+	}
 	key := decomposeKey(g, algo, 2)
-	waitForCondition(t, func() bool {
-		s.results.flight.mu.Lock()
-		defer s.results.flight.mu.Unlock()
-		c := s.results.flight.calls[key]
-		return c != nil && c.parties.Load() == 2
-	})
+	s.results.flight.mu.Lock()
+	c := s.results.flight.calls[key]
+	s.results.flight.mu.Unlock()
+	if c == nil || c.parties.Load() != 1 {
+		t.Fatal("the impatient caller's timeout ended the shared flight")
+	}
 
-	leaderWG.Wait() // the 5ms deadline fires while the gate is closed
-	if !errors.Is(leaderErr, registry.ErrCanceled) {
-		t.Fatalf("impatient caller err = %v, want ErrCanceled", leaderErr)
-	}
 	close(gate)
-	followerWG.Wait()
-	if followerErr != nil {
-		t.Fatalf("patient follower err = %v — the impatient caller's timeout killed the shared flight", followerErr)
+	patientWG.Wait()
+	if patientErr != nil {
+		t.Fatalf("patient caller err = %v — the impatient caller's timeout killed the shared flight", patientErr)
 	}
-	if followerRes == nil || followerRes.Decomposition == nil {
-		t.Fatal("patient follower got no result")
+	if patientRes == nil || patientRes.Decomposition == nil {
+		t.Fatal("patient caller got no result")
+	}
+	if got := count.Load(); got != 1 {
+		t.Fatalf("backend computed %d times, want 1", got)
 	}
 }
 

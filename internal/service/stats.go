@@ -94,7 +94,7 @@ type AlgoStats struct {
 	// PeerHits counts misses answered from a cluster peer's cache instead
 	// of a recompute (always 0 outside cluster mode).
 	PeerHits int64 `json:"peer_hits"`
-	// Computes counts completed backend computations (the misses that ran
+	// Computes counts completed engine computations (the misses that ran
 	// to success).
 	Computes int64 `json:"computes"`
 	// Latency aggregates over completed computations.
@@ -109,7 +109,7 @@ type AlgoStats struct {
 }
 
 // Stats is a Service-wide snapshot: totals, cache occupancy, per-algorithm
-// blocks, and (when configured) backend counters.
+// blocks, and the engine's counters.
 type Stats struct {
 	Uptime        time.Duration        `json:"uptime_ns"`
 	Requests      int64                `json:"requests"`
@@ -126,8 +126,10 @@ type Stats struct {
 	// /v2/apps/{app}). App requests are counted here, not in the top-level
 	// totals — the decompositions they resolve already count under their
 	// algorithm — so adding an app tier never perturbs existing dashboards.
-	Apps   map[string]AlgoStats `json:"apps,omitempty"`
-	Runner map[string]int64     `json:"runner,omitempty"`
+	Apps map[string]AlgoStats `json:"apps,omitempty"`
+	// Runner holds the counters of the service's engine (see
+	// engine.Stats.Counters); it is always present.
+	Runner map[string]int64 `json:"runner"`
 	// Persist is the disk-tier block; nil when the service runs without a
 	// data directory.
 	Persist *PersistStats `json:"persist,omitempty"`
@@ -214,9 +216,7 @@ func (s *Service) Stats() Stats {
 		Submitted: sub, Completed: comp, Failed: failed, Canceled: canc,
 		Queued: queued, Running: running, Retained: retained,
 	}
-	if s.cfg.RunnerStats != nil {
-		out.Runner = s.cfg.RunnerStats()
-	}
+	out.Runner = s.engine.Stats().Counters()
 	if p := s.persist; p != nil {
 		out.Persist = &PersistStats{
 			GraphSaves:     p.graphSaves.Load(),

@@ -45,6 +45,7 @@ type spanRecord struct {
 	SpanID  string `json:"span_id"`
 	Hop     int    `json:"hop"`
 	Stage   string `json:"stage"`
+	Scope   string `json:"scope"`
 	Path    string `json:"path"`
 }
 
@@ -145,6 +146,20 @@ func TestClusterTraceSpansAcrossShards(t *testing.T) {
 		t.Fatalf("decompose status %d: %s", status, body)
 	}
 
+	// Each shard writes its route span as its middleware unwinds, which
+	// can be after the client has read the response: wait until both
+	// shards hold the decompose request's route span.
+	routed := func(sink *spanSink) bool {
+		for _, r := range sink.spans(t) {
+			if r.Stage == "route" && r.Path == "/v1/decompose" {
+				return true
+			}
+		}
+		return false
+	}
+	waitFor(t, "both shards' decompose route spans", func() bool {
+		return routed(sinks[coordIdx]) && routed(sinks[ownerIdx])
+	})
 	coordSpans := sinks[coordIdx].spans(t)
 	ownerSpans := sinks[ownerIdx].spans(t)
 	if len(coordSpans) == 0 || len(ownerSpans) == 0 {
@@ -152,15 +167,16 @@ func TestClusterTraceSpansAcrossShards(t *testing.T) {
 	}
 
 	// Every span on either shard belongs to one of the two requests this
-	// test made; the decompose trace is the one that shows up on both
-	// sides. Collect trace IDs present on both shards.
+	// test made, and both hopped to the owner; the decompose trace is the
+	// one whose coordinator spans carry the decompose path. Collect trace
+	// IDs present on both shards.
 	ownerTraces := make(map[string]bool)
 	for _, r := range ownerSpans {
 		ownerTraces[r.TraceID] = true
 	}
 	var shared string
 	for _, r := range coordSpans {
-		if ownerTraces[r.TraceID] {
+		if ownerTraces[r.TraceID] && r.Path == "/v1/decompose" {
 			shared = r.TraceID
 			break
 		}
@@ -183,8 +199,20 @@ func TestClusterTraceSpansAcrossShards(t *testing.T) {
 	if s := stages(coordShared); !s["proxy"] || !s["route"] {
 		t.Errorf("coordinator spans missing proxy/route: %+v", coordShared)
 	}
-	if s := stages(ownerShared); !s["route"] {
-		t.Errorf("owner spans missing route: %+v", ownerShared)
+	if s := stages(ownerShared); !s["route"] || !s["compute"] {
+		t.Errorf("owner spans missing route/compute: %+v", ownerShared)
+	}
+	// The owner computed on its engine, whose phases appear next to
+	// compute: the path graph is one component, so split and
+	// carve-rounds, and no merge.
+	engineSpans := make(map[string]bool)
+	for _, r := range ownerShared {
+		if r.Scope == "engine" {
+			engineSpans[r.Stage] = true
+		}
+	}
+	if !engineSpans["split"] || !engineSpans["carve-rounds"] {
+		t.Errorf("owner spans missing the engine's split/carve-rounds: %+v", ownerShared)
 	}
 	for _, r := range coordShared {
 		if r.Hop != 0 {

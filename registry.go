@@ -14,6 +14,7 @@ package strongdecomp
 import (
 	"context"
 
+	"strongdecomp/internal/engine"
 	"strongdecomp/internal/registry"
 )
 
@@ -46,6 +47,33 @@ type Outcome = registry.Outcome
 // DecodeParams reverses Params.EncodeBinary — the canonical binary
 // encoding round-trips losslessly (see the registry fuzz target).
 func DecodeParams(data []byte) (Params, error) { return registry.DecodeParams(data) }
+
+// Engine runs decompositions over a worker pool: it decomposes the
+// connected components of a graph concurrently and batches runs over many
+// graphs. Run, BallCarve and Decompose run on a per-call Engine and
+// NewService builds one for every algorithm, so the library, the CLIs and
+// the service answer the same Params identically. Its methods are safe for
+// concurrent use and honor context cancellation (errors match ErrCanceled).
+type Engine = engine.Engine
+
+// EngineOption configures NewEngine.
+type EngineOption = engine.Option
+
+// EngineStats is a point-in-time snapshot of an Engine's execution
+// counters (see Engine.Stats); Counters flattens it for metrics endpoints.
+type EngineStats = engine.Stats
+
+// NewEngine returns an engine running the given construction over a worker
+// pool.
+func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
+
+// WithWorkers sets the worker-pool size (default runtime.GOMAXPROCS(0)).
+func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
+
+// WithEngineAlgorithm selects the registered construction the engine runs
+// (default the paper's "chang-ghaffari"). The name is resolved at run time,
+// so constructions registered after NewEngine are reachable too.
+func WithEngineAlgorithm(name string) EngineOption { return engine.WithAlgorithm(name) }
 
 // Run executes one canonical Params on g through a per-call Engine, so it
 // returns exactly what Engine.Run returns: p is normalized and validated,

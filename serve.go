@@ -200,10 +200,8 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	e := NewEngine(WithWorkers(c.workers))
 	return service.New(service.Config{
-		Run:              e.Run,
-		RunnerStats:      func() map[string]int64 { return e.Stats().Counters() },
+		Workers:          c.workers,
 		DefaultAlgorithm: c.algo,
 		CacheSize:        c.cacheSize,
 		GraphStoreSize:   c.graphStore,

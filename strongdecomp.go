@@ -58,6 +58,7 @@ import (
 	"context"
 
 	"strongdecomp/internal/cluster"
+	"strongdecomp/internal/engine"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/rounds"
 
@@ -198,7 +199,7 @@ func DecomposeContext(ctx context.Context, g *Graph, opts ...Option) (*Decomposi
 // run's cost.
 func runOptions(ctx context.Context, g *Graph, kind Kind, eps float64, opts []Option) (*Outcome, error) {
 	p, meter := buildParams(kind, eps, opts)
-	return NewEngine().run(ctx, g, p, meter, nil)
+	return engine.RunInto(ctx, NewEngine(), g, p, meter)
 }
 
 // VerifyCarving checks the defining properties of a ball carving: dead
