@@ -103,8 +103,8 @@ func parseMixes(spec string) ([]*mix, error) {
 }
 
 // csrPath backs the -csr flag: the snapshot file the "csr" mix family
-// mmap-loads as its workload graph (e.g. one produced out-of-core by
-// graphio.BuildCSRStream).
+// mmap-loads as its workload graph (one written by graphio.SaveCSR, or
+// one of the snapshots serve -data-dir stores).
 var csrPath string
 
 // makeGraph generates one workload graph by family name.

@@ -96,11 +96,12 @@ func BenchmarkCSR_ParseMETIS(b *testing.B) {
 
 func BenchmarkCSR_BFS(b *testing.B) {
 	g := csrBenchGraph()
-	dist := make([]int, g.N())
+	s := graph.NewScratch()
+	s.MarkAll(g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.BFS(g, nil, []int{0}, dist)
+		s.Ball(g, []int{0}, -1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -304,6 +305,38 @@ func TestEngineRunWarmAllocs(t *testing.T) {
 	const ceiling = 23
 	if allocs := testing.AllocsPerRun(5, run); allocs > ceiling {
 		t.Fatalf("warm Engine.Run allocates %v per run, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestEngineBaselinesAllocateNearLinearly bounds how a warm Engine.Run's
+// bytes grow with n for the Linial–Saks and sequential baselines: doubling
+// a cycle may at most multiply them by 2.5. Both grow one ball per centre.
+// When every ball reset or allocated n-sized arrays they read 4.03× and
+// 4.12×; on the scratch traversals they read 1.86× and 2.02×.
+func TestEngineBaselinesAllocateNearLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocations are nondeterministic")
+	}
+	e := NewEngine(WithWorkers(1))
+	bytesPerRun := func(name string, g *graph.Graph) uint64 {
+		run := func() {
+			if _, err := e.Run(context.Background(), g, Params{Algorithm: name, Seed: 1}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := graph.Cycle(4000), graph.Cycle(8000)
+	for _, name := range []string{"linial-saks", "sequential"} {
+		b4, b8 := bytesPerRun(name, small), bytesPerRun(name, large)
+		if ratio := float64(b8) / float64(b4); ratio > 2.5 {
+			t.Errorf("%s: warm run allocates %d bytes on Cycle(8000), %.2f× the %d on Cycle(4000); want <= 2.5×", name, b8, ratio, b4)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ var diamScratch = sync.Pool{New: func() any { return graph.NewScratch() }}
 // constant-round coordination of the sweep.
 func DiameterApprox(g *graph.Graph, m *rounds.Meter) int {
 	s := diamScratch.Get().(*graph.Scratch)
-	diam := s.DiameterApprox(g, nil)
+	diam := s.DiameterApprox(g)
 	diamScratch.Put(s)
 	m.Charge("apps/diameter", 2*int64(diam)+2)
 	return diam

@@ -177,7 +177,7 @@ func CheckDecomposition(g *graph.Graph, d *Decomposition, maxDiam int, strong bo
 					return fmt.Errorf("decomposition: cluster %d induces a disconnected subgraph", cl)
 				}
 			} else {
-				diam = graph.WeakDiameter(g, nil, members)
+				diam = graph.WeakDiameter(g, members)
 				if diam < 0 {
 					return fmt.Errorf("decomposition: cluster %d weakly disconnected", cl)
 				}
@@ -211,7 +211,7 @@ func MaxStrongDiameter(g *graph.Graph, members [][]int) int {
 func MaxWeakDiameter(g *graph.Graph, members [][]int) int {
 	max := 0
 	for _, ms := range members {
-		d := graph.WeakDiameter(g, nil, ms)
+		d := graph.WeakDiameter(g, ms)
 		if d < 0 {
 			return -1
 		}

@@ -28,18 +28,19 @@ func TestBFSMatchesGraphLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantDist := make([]int, g.N())
-			graph.BFS(g, nil, []int{0}, wantDist)
+			want := graph.NewScratch()
+			want.MarkAll(g.N())
+			want.Ball(g, []int{0}, -1)
 			ecc := 0
-			for v := range wantDist {
-				if dist[v] != wantDist[v] {
-					t.Fatalf("dist[%d] = %d, want %d", v, dist[v], wantDist[v])
+			for v := range g.N() {
+				if dist[v] != want.Dist(v) {
+					t.Fatalf("dist[%d] = %d, want %d", v, dist[v], want.Dist(v))
 				}
-				if wantDist[v] > ecc {
-					ecc = wantDist[v]
+				if want.Dist(v) > ecc {
+					ecc = want.Dist(v)
 				}
 				if v != 0 && parent[v] >= 0 {
-					if !g.HasEdge(v, parent[v]) || wantDist[parent[v]]+1 != wantDist[v] {
+					if !g.HasEdge(v, parent[v]) || want.Dist(parent[v])+1 != want.Dist(v) {
 						t.Fatalf("bad parent %d for %d", parent[v], v)
 					}
 				}
@@ -87,14 +88,10 @@ func TestTreeCountCountsAllNodes(t *testing.T) {
 		t.Fatalf("counted %d of %d nodes", total, g.N())
 	}
 	// Convergecast finishes within ~2x tree depth.
-	dist := make([]int, g.N())
-	graph.BFS(g, nil, []int{0}, dist)
-	depth := 0
-	for _, d := range dist {
-		if d > depth {
-			depth = d
-		}
-	}
+	s := graph.NewScratch()
+	s.MarkAll(g.N())
+	order := s.Ball(g, []int{0}, -1)
+	depth := s.Dist(order[len(order)-1])
 	if met.Rounds > 2*depth+3 {
 		t.Fatalf("count rounds %d vs depth %d", met.Rounds, depth)
 	}

@@ -208,7 +208,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 			sc.BeginSet(g.N())
 			survivors := 0
 			for _, v := range s {
-				switch d := sc.Val(v); {
+				switch d := sc.Dist(v); {
 				case sc.Reached(v) && d <= rStar:
 					co.assign[v] = co.k
 				case sc.Reached(v) && d == rStar+1:

@@ -79,7 +79,7 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 			rStar, _ := thinnestLayer(sizes, a, b-2)
 			var v1, v2, sep []int
 			for _, v := range nodes {
-				switch d := sc.Val(v); {
+				switch d := sc.Dist(v); {
 				case sc.Reached(v) && d <= rStar:
 					v1 = append(v1, v)
 				case sc.Reached(v) && d == rStar+1:
@@ -115,7 +115,7 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 	rStar, _ := thinnestLayer(sizes, a, hi)
 	m.Charge("lemma31/bfs", int64(len(sizes)))
 
-	inU := func(w int) bool { return sc.Reached(w) && sc.Val(w) <= rStar }
+	inU := func(w int) bool { return sc.Reached(w) && sc.Dist(w) <= rStar }
 	var u, boundary []int
 	for _, w := range nodes {
 		if inU(w) {

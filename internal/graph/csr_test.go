@@ -168,30 +168,6 @@ func TestAutoBuilder(t *testing.T) {
 	}
 }
 
-func TestEdgeIndexDenseAndMissing(t *testing.T) {
-	g := DisjointUnion(Complete(5), Cycle(6), Star(4))
-	ei := NewEdgeIndex(g)
-	want := 0
-	g.ForEachEdge(func(u, v int) {
-		for _, pair := range [][2]int{{u, v}, {v, u}} {
-			i, ok := ei.Lookup(pair[0], pair[1])
-			if !ok {
-				t.Fatalf("edge (%d,%d) missing from index", pair[0], pair[1])
-			}
-			if i != want {
-				t.Fatalf("edge (%d,%d) index %d, want %d", pair[0], pair[1], i, want)
-			}
-		}
-		want++
-	})
-	if want != g.M() {
-		t.Fatalf("indexed %d edges, want %d", want, g.M())
-	}
-	if _, ok := ei.Lookup(0, g.N()-1); ok {
-		t.Fatal("non-edge reported present")
-	}
-}
-
 func TestMemoryFootprintScalesWithSize(t *testing.T) {
 	small, large := Cycle(16), Cycle(4096)
 	if small.MemoryFootprint() >= large.MemoryFootprint() {
@@ -227,14 +203,15 @@ func TestNeighborsZeroAlloc(t *testing.T) {
 func TestScratchBFSZeroAllocSteadyState(t *testing.T) {
 	g := ConnectedGnp(256, 0.05, 1)
 	s := NewScratch()
-	dist := make([]int, g.N())
+	s.MarkAll(g.N())
 	srcs := []int{0}
-	s.BFS(g, nil, srcs, dist) // warm the queue
+	s.Ball(g, srcs, -1) // warm the queue
 	allocs := testing.AllocsPerRun(100, func() {
-		s.BFS(g, nil, srcs, dist)
+		s.Ball(g, srcs, -1)
+		s.Tree(g, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("scratch BFS allocates %v per run, want 0", allocs)
+		t.Fatalf("scratch Ball and Tree allocate %v per run, want 0", allocs)
 	}
 }
 

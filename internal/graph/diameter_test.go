@@ -3,15 +3,12 @@ package graph
 import "testing"
 
 // exactDiameter is the brute-force reference: max eccentricity over all
-// alive nodes within their own components.
-func exactDiameter(g *Graph, alive []bool) int {
+// nodes within their own components.
+func exactDiameter(g *Graph) int {
 	dist := make([]int, g.N())
 	diam := 0
 	for v := 0; v < g.N(); v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		order := BFS(g, alive, []int{v}, dist)
+		order := maskedBFS(g, nil, []int{v}, dist)
 		if d := dist[order[len(order)-1]]; d > diam {
 			diam = d
 		}
@@ -39,7 +36,7 @@ func TestScratchDiameterApproxExactFamilies(t *testing.T) {
 	}
 	s := NewScratch()
 	for _, tc := range cases {
-		if got := s.DiameterApprox(tc.g, nil); got != tc.want {
+		if got := s.DiameterApprox(tc.g); got != tc.want {
 			t.Errorf("%s: DiameterApprox = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -51,8 +48,8 @@ func TestScratchDiameterApproxBounds(t *testing.T) {
 	s := NewScratch()
 	for seed := int64(0); seed < 8; seed++ {
 		g := Gnp(80, 0.04, seed)
-		got := s.DiameterApprox(g, nil)
-		exact := exactDiameter(g, nil)
+		got := s.DiameterApprox(g)
+		exact := exactDiameter(g)
 		if got > exact {
 			t.Fatalf("seed %d: approx %d exceeds exact %d", seed, got, exact)
 		}
@@ -62,29 +59,26 @@ func TestScratchDiameterApproxBounds(t *testing.T) {
 	}
 }
 
+// TestScratchDiameterApproxAliveMask runs the 2-sweep on the subgraphs
+// of a path that its alive nodes induce.
 func TestScratchDiameterApproxAliveMask(t *testing.T) {
 	g := Path(10)
-	alive := make([]bool, g.N())
-	for v := 0; v < 5; v++ {
-		alive[v] = true
-	}
 	s := NewScratch()
-	if got := s.DiameterApprox(g, alive); got != 4 {
+	sub, _ := InducedSubgraph(g, []int{0, 1, 2, 3, 4})
+	if got := s.DiameterApprox(sub); got != 4 {
 		t.Fatalf("masked path: DiameterApprox = %d, want 4", got)
 	}
 	// Splitting the path into two alive runs makes the subgraph
 	// disconnected; the max over components must win.
-	for v := 7; v < 10; v++ {
-		alive[v] = true
-	}
-	if got := s.DiameterApprox(g, alive); got != 4 {
+	sub, _ = InducedSubgraph(g, []int{0, 1, 2, 3, 4, 7, 8, 9})
+	if got := s.DiameterApprox(sub); got != 4 {
 		t.Fatalf("split path: DiameterApprox = %d, want 4", got)
 	}
 }
 
 func TestScratchDiameterApproxInterleavedWithOtherScratchUse(t *testing.T) {
-	// The sweep must tolerate a dirty dist array left behind by other
-	// scratch users (StrongDiameter writes real distances into s.dist).
+	// The sweep must tolerate the stamps and values other scratch users
+	// leave behind (StrongDiameter's balls run over its induced subgraph).
 	g := Grid(6, 6)
 	s := NewScratch()
 	nodes := make([]int, g.N())
@@ -95,7 +89,7 @@ func TestScratchDiameterApproxInterleavedWithOtherScratchUse(t *testing.T) {
 		if d := s.StrongDiameter(g, nodes); d != 10 {
 			t.Fatalf("StrongDiameter = %d, want 10", d)
 		}
-		if d := s.DiameterApprox(g, nil); d != 10 {
+		if d := s.DiameterApprox(g); d != 10 {
 			t.Fatalf("DiameterApprox = %d, want 10", d)
 		}
 	}
@@ -104,9 +98,9 @@ func TestScratchDiameterApproxInterleavedWithOtherScratchUse(t *testing.T) {
 func TestScratchDiameterApproxZeroAllocSteadyState(t *testing.T) {
 	g := DisjointUnion(ConnectedGnp(256, 0.05, 1), Grid(8, 8))
 	s := NewScratch()
-	s.DiameterApprox(g, nil) // warm the scratch buffers
+	s.DiameterApprox(g) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		s.DiameterApprox(g, nil)
+		s.DiameterApprox(g)
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch DiameterApprox allocates %v per run, want 0", allocs)

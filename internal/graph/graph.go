@@ -262,42 +262,3 @@ func (g *Graph) MemoryFootprint() int {
 	const wordBytes = 8 // int64 offsets and int targets on 64-bit platforms
 	return wordBytes*(len(g.offsets)+len(g.targets)) + 64
 }
-
-// EdgeIndex assigns each undirected edge a dense index in [0, M()) following
-// the order of Edges. It is used by Steiner-tree congestion accounting.
-// With CSR adjacency the index is a pure offset computation — a prefix-sum
-// array over forward degrees plus two binary searches — instead of a
-// map[[2]int]int over every edge.
-type EdgeIndex struct {
-	g   *Graph
-	fwd []int64 // fwd[u] = number of edges (a, b), a < b, with a < u
-}
-
-// NewEdgeIndex builds the edge index for g in O(n log maxDeg) time and one
-// flat allocation.
-func NewEdgeIndex(g *Graph) *EdgeIndex {
-	fwd := make([]int64, g.N()+1)
-	for u := 0; u < g.N(); u++ {
-		row := g.Neighbors(u)
-		first, _ := slices.BinarySearch(row, u) // no self-loops: first neighbor > u
-		fwd[u+1] = fwd[u] + int64(len(row)-first)
-	}
-	return &EdgeIndex{g: g, fwd: fwd}
-}
-
-// Lookup returns the dense index of edge {u, v} and whether it exists.
-func (ei *EdgeIndex) Lookup(u, v int) (int, bool) {
-	if u > v {
-		u, v = v, u
-	}
-	if u < 0 || v >= ei.g.N() {
-		return 0, false
-	}
-	row := ei.g.Neighbors(u)
-	j, ok := slices.BinarySearch(row, v)
-	if !ok {
-		return 0, false
-	}
-	first, _ := slices.BinarySearch(row, u)
-	return int(ei.fwd[u]) + j - first, true
-}

@@ -109,29 +109,6 @@ func TestEdgesOrderedAndComplete(t *testing.T) {
 	}
 }
 
-func TestEdgeIndex(t *testing.T) {
-	g := Path(4)
-	ei := NewEdgeIndex(g)
-	if _, ok := ei.Lookup(0, 1); !ok {
-		t.Fatal("edge 0-1 not indexed")
-	}
-	if _, ok := ei.Lookup(1, 0); !ok {
-		t.Fatal("reverse lookup failed")
-	}
-	if _, ok := ei.Lookup(0, 3); ok {
-		t.Fatal("phantom edge indexed")
-	}
-	// Indices must be dense and unique.
-	seen := make(map[int]bool)
-	for _, e := range g.Edges() {
-		i, ok := ei.Lookup(e[0], e[1])
-		if !ok || i < 0 || i >= g.M() || seen[i] {
-			t.Fatalf("bad index %d for edge %v", i, e)
-		}
-		seen[i] = true
-	}
-}
-
 func TestMustBuildPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // Scratch holds the reusable per-traversal buffers (visit stamps, BFS
-// queue, per-node values, distance array) that make the hot graph
+// queue, per-node values) that make the hot graph
 // operations allocation-free in steady state. A Scratch is not safe for
 // concurrent use; keep one per worker (the Engine keeps one per worker on
 // a free list). Buffers only ever grow — a shrink-then-grow sequence of
@@ -17,18 +17,24 @@ import (
 // it between calls is a single counter increment instead of an O(n)
 // memset. One counter numbers both node sets and traversals: a node is in
 // the current set when its stamp is at least the set's generation, and
-// visited by the latest traversal when its stamp equals the traversal's,
-// which is larger. So a traversal restricted to a set tests a neighbour
-// with one load and touches only the nodes it reaches.
+// visited by the latest traversal when its stamp is at least the
+// traversal's, which is larger. So a traversal restricted to a set tests a
+// neighbour with one load and touches only the nodes it reaches, and
+// Remove takes a node out of the set with one store. Ball stamps each node
+// with the traversal's generation plus the node's distance, so one store
+// records both, and then moves the counter past the largest stamp.
+//
+// Every distance or parent BFS in the module runs through two methods:
+// Ball, the distance traversal (Layers adds its cumulative layer sizes),
+// and Tree, the parent traversal (Preorder walks its tree).
 type Scratch struct {
 	mark []int64 // by node: set and visit generations
 	gen  int64   // latest generation handed out
 	set  int64   // current set: its members have mark >= set
-	seen int64   // latest traversal: its nodes have mark == seen
-	val  []int   // by node, where the latest call stamped it: dense id, component index, BFS distance or parent
+	seen int64   // latest traversal: its nodes have mark >= seen
+	val  []int   // by node, where the latest call stamped it: dense id, component index or BFS parent
 
-	queue  []int
-	dist   []int
+	queue  []int // BFS queue; after Ball, Layers or Tree, their visit order
 	sizes  []int // cumulative BFS layer sizes
 	counts []int // per-component counters
 }
@@ -72,9 +78,10 @@ func (s *Scratch) visitAll(n int) int64 {
 }
 
 // BeginSet starts a new, empty node set of an n-node graph; Add puts
-// nodes in it. Layers, SplitSet and Preorder traverse only the current
-// set, and every other method of s replaces or ends it. Reached and Val
-// keep answering for the latest traversal, except for nodes added since.
+// nodes in it. Ball, Layers, Tree, SplitSet and Preorder traverse only the
+// current set, and every other method of s replaces or ends it. Reached,
+// Dist and Val keep answering for the latest traversal, except for nodes
+// added or removed since.
 func (s *Scratch) BeginSet(n int) {
 	s.size(n)
 	s.gen++
@@ -84,6 +91,9 @@ func (s *Scratch) BeginSet(n int) {
 // Add puts v in the current set.
 func (s *Scratch) Add(v int) { s.mark[v] = s.set }
 
+// Remove takes v out of the current set.
+func (s *Scratch) Remove(v int) { s.mark[v] = 0 }
+
 // MarkSet starts a new set of an n-node graph holding the nodes of set.
 func (s *Scratch) MarkSet(n int, set []int) {
 	s.BeginSet(n)
@@ -92,54 +102,113 @@ func (s *Scratch) MarkSet(n int, set []int) {
 	}
 }
 
+// MarkAll starts a new set holding every node of an n-node graph.
+func (s *Scratch) MarkAll(n int) {
+	s.BeginSet(n)
+	for v := range n {
+		s.mark[v] = s.set
+	}
+}
+
 // Has reports whether v is in the current set.
 func (s *Scratch) Has(v int) bool { return s.mark[v] >= s.set }
 
 // Reached reports whether the latest traversal visited v.
-func (s *Scratch) Reached(v int) bool { return s.mark[v] == s.seen }
+func (s *Scratch) Reached(v int) bool { return s.mark[v] >= s.seen }
+
+// Dist returns the distance from the sources of a node the latest Ball or
+// Layers call reached.
+func (s *Scratch) Dist(v int) int { return int(s.mark[v] - s.seen) }
 
 // Val returns what the latest traversal recorded for a node it reached:
-// the BFS distance after Layers, the component index after SplitSet.
+// the BFS parent after Tree, the component index after SplitSet.
 func (s *Scratch) Val(v int) int { return s.val[v] }
 
-// Layers runs a multi-source BFS from srcs inside the current set and
-// returns the cumulative layer sizes: sizes[r] is the number of members
-// within distance r of srcs (nil if no source is a member). Val gives the
-// distance of each node reached. The result aliases the scratch and is
-// valid until the next call.
-func (s *Scratch) Layers(g *Graph, srcs []int) []int {
+// Ball runs a multi-source BFS from srcs inside the current set, at most
+// depth hops deep (unbounded when depth < 0), and returns the nodes it
+// reaches in visit order, so by nondecreasing distance. Dist gives each
+// one's distance. Sources outside the set are skipped. The order aliases
+// the scratch and is valid until the next call.
+//
+//sdlint:hotpath
+func (s *Scratch) Ball(g *Graph, srcs []int, depth int) []int {
+	if depth < 0 {
+		depth = math.MaxInt
+	}
 	in, seen := s.set, s.visit()
-	q := s.queue[:0]
+	mark, q := s.mark, s.queue[:0]
 	for _, v := range srcs {
-		if st := s.mark[v]; st >= in && st != seen {
-			s.mark[v], s.val[v] = seen, 0
+		if st := mark[v]; st >= in && st < seen {
+			mark[v] = seen
 			q = append(q, v)
 		}
 	}
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		d := s.val[u] + 1
-		for _, w := range g.Neighbors(u) {
-			if st := s.mark[w]; st >= in && st != seen {
-				s.mark[w], s.val[w] = seen, d
-				q = append(q, w)
+	// Layer by layer: q[head:end] holds the nodes at distance d-1.
+	d := 1
+	for head := 0; head < len(q) && d <= depth; d++ {
+		for end := len(q); head < end; head++ {
+			for _, w := range g.Neighbors(q[head]) {
+				if st := mark[w]; st >= in && st < seen {
+					mark[w] = seen + int64(d)
+					q = append(q, w)
+				}
 			}
 		}
 	}
-	s.queue = q[:0]
-	if len(q) == 0 {
+	s.gen = seen + int64(d) // past every distance stamp
+	s.queue = q
+	return q
+}
+
+// Order returns the visit order of the latest Ball, Layers or Tree call,
+// valid until the next call of any other method.
+func (s *Scratch) Order() []int { return s.queue }
+
+// Layers runs Ball from srcs without a depth cap and returns the
+// cumulative layer sizes: sizes[r] is the number of members within
+// distance r of srcs (nil if no source is a member). Dist gives the
+// distance of each node reached and Order their visit order. The result
+// aliases the scratch and is valid until the next call.
+func (s *Scratch) Layers(g *Graph, srcs []int) []int {
+	order := s.Ball(g, srcs, -1)
+	if len(order) == 0 {
 		return nil
 	}
 	sizes := s.sizes[:0]
-	sizes = append(sizes, make([]int, s.val[q[len(q)-1]]+1)...)
-	for _, v := range q {
-		sizes[s.val[v]]++
+	sizes = append(sizes, make([]int, s.Dist(order[len(order)-1])+1)...)
+	for _, v := range order {
+		sizes[s.Dist(v)]++
 	}
 	for r := 1; r < len(sizes); r++ {
 		sizes[r] += sizes[r-1]
 	}
 	s.sizes = sizes
 	return sizes
+}
+
+// Tree runs a BFS from root inside the current set and returns the nodes
+// it reaches in visit order. Val gives each one's parent in the BFS tree:
+// the first node in visit order adjacent to it, and -1 for root. root
+// must be in the set. The order aliases the scratch and is valid until the
+// next call.
+//
+//sdlint:hotpath
+func (s *Scratch) Tree(g *Graph, root int) []int {
+	in, seen := s.set, s.visit()
+	mark, val, q := s.mark, s.val, s.queue[:0]
+	q = append(q, root)
+	mark[root], val[root] = seen, -1
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		for _, w := range g.Neighbors(u) {
+			if st := mark[w]; st >= in && st < seen {
+				mark[w], val[w] = seen, u
+				q = append(q, w)
+			}
+		}
+	}
+	s.queue = q
+	return q
 }
 
 // SplitSet appends to comps the connected components of the current set,
@@ -208,23 +277,11 @@ func (s *Scratch) ComponentsOf(g *Graph, set []int) [][]int {
 // reaches, in the pre-order of their BFS tree rooted at root, each node's
 // children in ascending id order. root must be in the set.
 func (s *Scratch) Preorder(g *Graph, root int, dst []int) []int {
-	// BFS tree: val holds each reached node's parent.
-	in, seen := s.set, s.visit()
-	q := append(s.queue[:0], root)
-	s.mark[root], s.val[root] = seen, -1
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		for _, w := range g.Neighbors(u) {
-			if st := s.mark[w]; st >= in && st != seen {
-				s.mark[w], s.val[w] = seen, u
-				q = append(q, w)
-			}
-		}
-	}
 	// Depth-first walk on the queue's storage as a stack: a node's
 	// children are its ascending neighbours whose parent it is, pushed
 	// in reverse so the smallest comes off first.
-	stack := append(q[:0], root)
+	stack := append(s.Tree(g, root)[:0], root)
+	seen := s.seen
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -238,39 +295,6 @@ func (s *Scratch) Preorder(g *Graph, root int, dst []int) []int {
 	}
 	s.queue = stack[:0]
 	return dst
-}
-
-// BFS is the scratch-owned variant of the package-level BFS: identical
-// semantics, but the returned visit-order slice aliases the scratch queue
-// and is only valid until the next use of s.
-//
-//sdlint:hotpath
-func (s *Scratch) BFS(g *Graph, alive []bool, srcs []int, dist []int) []int {
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := s.queue[:0]
-	for _, v := range srcs {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		if dist[v] == -1 {
-			dist[v] = 0
-			queue = append(queue, v)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] != -1 || (alive != nil && !alive[v]) {
-				continue
-			}
-			dist[v] = dist[u] + 1
-			queue = append(queue, v)
-		}
-	}
-	s.queue = queue[:0]
-	return queue
 }
 
 // Components returns the connected components of the alive subgraph in BFS
@@ -346,20 +370,7 @@ func (s *Scratch) IsConnected(g *Graph, nodes []int) bool {
 		return true
 	}
 	s.MarkSet(g.N(), nodes)
-	in, seen := s.set, s.visit()
-	q := s.queue[:0]
-	q = append(q, nodes[0])
-	s.mark[nodes[0]] = seen
-	for head := 0; head < len(q); head++ {
-		for _, w := range g.Neighbors(q[head]) {
-			if st := s.mark[w]; st >= in && st != seen {
-				s.mark[w] = seen
-				q = append(q, w)
-			}
-		}
-	}
-	s.queue = q[:0]
-	return len(q) == len(nodes)
+	return len(s.Ball(g, nodes[:1], -1)) == len(nodes)
 }
 
 // InducedSubgraph returns the subgraph induced by the distinct node set
@@ -405,113 +416,59 @@ func (s *Scratch) InducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
 
 // StrongDiameter is the scratch-backed variant of the package-level
 // StrongDiameter: exact diameter of the induced subgraph, -1 if
-// disconnected or empty.
+// disconnected or empty. It replaces the current set.
 func (s *Scratch) StrongDiameter(g *Graph, nodes []int) int {
 	if len(nodes) == 0 {
 		return -1
 	}
 	sub, _ := s.InducedSubgraph(g, nodes)
-	if cap(s.dist) < sub.N() {
-		s.dist = make([]int, sub.N())
-	}
-	dist := s.dist[:sub.N()]
+	s.MarkAll(sub.N())
 	diam := 0
-	for v := 0; v < sub.N(); v++ {
-		order := s.BFS(sub, nil, []int{v}, dist)
+	for v := range sub.N() {
+		order := s.Ball(sub, []int{v}, -1)
 		if len(order) != sub.N() {
 			return -1
 		}
-		if d := dist[order[len(order)-1]]; d > diam {
-			diam = d
-		}
+		diam = max(diam, s.Dist(order[len(order)-1]))
 	}
 	return diam
 }
 
-// DiameterApprox is the linear-time 2-sweep diameter approximation over
-// the alive subgraph (nil alive means all nodes): for each connected
-// component, one BFS finds a far node and a second BFS from it reports
-// that node's eccentricity. The returned value is the maximum over
-// components — a lower bound on the true diameter, which is at most
-// twice it. Total work is O(n + m) regardless of how many components the
-// subgraph splits into, and steady-state allocations are zero: all
-// traversal state lives in the scratch.
-func (s *Scratch) DiameterApprox(g *Graph, alive []bool) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	gen := s.visitAll(n)
-	if cap(s.dist) < n {
-		s.dist = make([]int, n)
-	}
-	dist := s.dist[:n]
-	for i := range dist {
-		dist[i] = -1
-	}
-	return s.diameterSweep(g, alive, dist, gen)
-}
-
-// diameterSweep is DiameterApprox's allocation-free core. On entry the
-// scratch is grown, dist[v] == -1 for every v, and gen is a fresh mark
-// generation; each component is swept exactly once (marked nodes are
-// skipped) and dist's all-minus-one invariant is restored between sweeps
-// by touching only the nodes the sweep visited.
-//
-//sdlint:hotpath
-func (s *Scratch) diameterSweep(g *Graph, alive []bool, dist []int, gen int64) int {
+// DiameterApprox is the linear-time 2-sweep diameter approximation of g:
+// TwoSweep on each connected component. The returned value is the maximum
+// over components — a lower bound on the true diameter, which is at most
+// twice it. Total work is O(n + m) regardless of how many components g
+// splits into, and steady-state allocations are zero: all traversal state
+// lives in the scratch. It replaces the current set.
+func (s *Scratch) DiameterApprox(g *Graph) int {
+	s.MarkAll(g.N())
 	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if s.mark[v] == gen || (alive != nil && !alive[v]) {
+	for v := range g.N() {
+		if !s.Has(v) {
 			continue
 		}
-		order := s.bfsSweep(g, alive, v, dist)
-		for _, u := range order {
-			s.mark[u] = gen
-			dist[u] = -1
-		}
-		far := order[len(order)-1]
-		order = s.bfsSweep(g, alive, far, dist)
-		last := order[len(order)-1]
-		if dist[last] > diam {
-			diam = dist[last]
-		}
-		for _, u := range order {
-			dist[u] = -1
+		diam = max(diam, s.TwoSweep(g, v))
+		for _, u := range s.Order() { // the second sweep's: v's component
+			s.Remove(u)
 		}
 	}
 	return diam
 }
 
-// bfsSweep is the single-source variant of Scratch.BFS backing the
-// 2-sweep: identical traversal, but it skips BFS's O(n) distance reset —
-// the caller guarantees dist[v] == -1 for every reachable v and restores
-// that invariant afterward — so a sweep costs only its own component.
-// The returned visit order aliases the scratch queue and is only valid
-// until the next use of s.
-//
-//sdlint:hotpath
-func (s *Scratch) bfsSweep(g *Graph, alive []bool, src int, dist []int) []int {
-	queue := s.queue[:0]
-	dist[src] = 0
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] != -1 || (alive != nil && !alive[v]) {
-				continue
-			}
-			dist[v] = dist[u] + 1
-			queue = append(queue, v)
-		}
-	}
-	s.queue = queue[:0]
-	return queue
+// TwoSweep returns the 2-sweep lower bound on the diameter of the
+// component of the current set that holds v: a BFS from v finds a farthest
+// node, and a second BFS reports that node's eccentricity. Order then
+// gives the component's nodes in the second sweep's visit order.
+func (s *Scratch) TwoSweep(g *Graph, v int) int {
+	order := s.Ball(g, []int{v}, -1)
+	far := order[len(order)-1]
+	order = s.Ball(g, []int{far}, -1)
+	return s.Dist(order[len(order)-1])
 }
 
-// scratchPool backs the package-level convenience functions (IsConnected,
-// InducedSubgraph, StrongDiameter), so even scratch-less callers reuse
-// traversal state across calls.
+// scratchPool backs the package-level convenience functions in
+// traverse.go, so even scratch-less callers reuse traversal state across
+// calls.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }

@@ -32,10 +32,12 @@ func randomSet(g *Graph, rng *rand.Rand) ([]int, []bool) {
 }
 
 // TestScratchSetTraversalsMatchMaskedOnes checks the set-restricted
-// traversals against their alive-mask counterparts on random subsets,
-// through one scratch that also runs unrestricted calls in between:
-// ComponentsOf against Components (same components, same order, members
-// ascending), and Layers and Val against NeighborhoodSizes and BFS.
+// traversals against the mask-based oracles on random subsets of every
+// family, through one scratch that also runs unrestricted calls in
+// between: ComponentsOf against Components (same components, same order,
+// members ascending); Layers, Order and Val against maskedBFS; Ball with
+// a depth cap against the oracle's visit order cut at that depth; and
+// Tree against maskedBFSTree.
 func TestScratchSetTraversalsMatchMaskedOnes(t *testing.T) {
 	s := NewScratch()
 	rng := rand.New(rand.NewSource(1))
@@ -50,16 +52,66 @@ func TestScratchSetTraversalsMatchMaskedOnes(t *testing.T) {
 
 			srcs := []int{rng.Intn(g.N()), rng.Intn(g.N())}
 			dist := make([]int, g.N())
-			wantSizes := NeighborhoodSizes(g, mask, srcs, dist)
+			wantOrder := maskedBFS(g, mask, srcs, dist)
+			var wantSizes []int // wantSizes[r]: members within distance r
+			for r := 0; len(wantOrder) > 0 && r <= dist[wantOrder[len(wantOrder)-1]]; r++ {
+				within := 0
+				for _, v := range wantOrder {
+					if dist[v] <= r {
+						within++
+					}
+				}
+				wantSizes = append(wantSizes, within)
+			}
 			s.MarkSet(g.N(), set)
 			sizes := s.Layers(g, srcs)
 			if !slices.Equal(sizes, wantSizes) {
 				t.Fatalf("%s trial %d: Layers %v, want %v", name, trial, sizes, wantSizes)
 			}
+			if !slices.Equal(s.Order(), wantOrder) {
+				t.Fatalf("%s trial %d: Order %v, want %v", name, trial, s.Order(), wantOrder)
+			}
 			for v := range g.N() {
-				if s.Reached(v) != (dist[v] >= 0) || (dist[v] >= 0 && s.Val(v) != dist[v]) {
-					t.Fatalf("%s trial %d: node %v reached %v at %d, BFS says %d", name, trial, v, s.Reached(v), s.Val(v), dist[v])
+				if s.Reached(v) != (dist[v] >= 0) || (dist[v] >= 0 && s.Dist(v) != dist[v]) {
+					t.Fatalf("%s trial %d: node %v reached %v at %d, BFS says %d", name, trial, v, s.Reached(v), s.Dist(v), dist[v])
 				}
+			}
+
+			depth := rng.Intn(4)
+			capped := wantOrder
+			for i, v := range wantOrder {
+				if dist[v] > depth {
+					capped = wantOrder[:i]
+					break
+				}
+			}
+			if order := s.Ball(g, srcs, depth); !slices.Equal(order, capped) {
+				t.Fatalf("%s trial %d: Ball to depth %d visits %v, want %v", name, trial, depth, order, capped)
+			}
+			for v := range g.N() {
+				if in := dist[v] >= 0 && dist[v] <= depth; s.Reached(v) != in || (in && s.Dist(v) != dist[v]) {
+					t.Fatalf("%s trial %d: depth %d: node %v reached %v at %d, BFS says %d", name, trial, depth, v, s.Reached(v), s.Dist(v), dist[v])
+				}
+			}
+
+			root := set[rng.Intn(len(set))]
+			treeDist, parent := maskedBFSTree(g, mask, root)
+			order := s.Tree(g, root)
+			reached := 0
+			for v := range g.N() {
+				if treeDist[v] < 0 {
+					if s.Reached(v) {
+						t.Fatalf("%s trial %d: Tree from %d reached %d outside its component", name, trial, root, v)
+					}
+					continue
+				}
+				reached++
+				if !s.Reached(v) || s.Val(v) != parent[v] {
+					t.Fatalf("%s trial %d: Tree from %d gives %d parent %d, want %d", name, trial, root, v, s.Val(v), parent[v])
+				}
+			}
+			if len(order) != reached || order[0] != root {
+				t.Fatalf("%s trial %d: Tree from %d visits %v, want %d nodes from the root", name, trial, root, order, reached)
 			}
 		}
 	}

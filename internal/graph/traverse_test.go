@@ -6,61 +6,73 @@ import (
 	"testing/quick"
 )
 
+// allNodes returns a scratch whose current set is every node of g.
+func allNodes(g *Graph) *Scratch {
+	s := NewScratch()
+	s.MarkAll(g.N())
+	return s
+}
+
 func TestBFSDistancesOnPath(t *testing.T) {
 	g := Path(6)
-	dist := make([]int, g.N())
-	order := BFS(g, nil, []int{0}, dist)
+	s := allNodes(g)
+	order := s.Ball(g, []int{0}, -1)
 	if len(order) != 6 {
 		t.Fatalf("visited %d nodes", len(order))
 	}
 	for v := 0; v < 6; v++ {
-		if dist[v] != v {
-			t.Fatalf("dist[%d] = %d", v, dist[v])
+		if s.Dist(v) != v {
+			t.Fatalf("dist[%d] = %d", v, s.Dist(v))
 		}
+	}
+	if order := s.Ball(g, []int{0}, 2); !slices.Equal(order, []int{0, 1, 2}) || s.Reached(3) {
+		t.Fatalf("depth-2 ball visits %v", order)
 	}
 }
 
 func TestBFSMultiSource(t *testing.T) {
 	g := Path(7)
-	dist := make([]int, g.N())
-	BFS(g, nil, []int{0, 6}, dist)
+	s := allNodes(g)
+	s.Ball(g, []int{0, 6}, -1)
 	want := []int{0, 1, 2, 3, 2, 1, 0}
 	for v, w := range want {
-		if dist[v] != w {
-			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], w)
+		if s.Dist(v) != w {
+			t.Fatalf("dist[%d] = %d, want %d", v, s.Dist(v), w)
 		}
 	}
 }
 
 func TestBFSRespectsAliveMask(t *testing.T) {
 	g := Path(5)
-	alive := []bool{true, true, false, true, true}
-	dist := make([]int, g.N())
-	order := BFS(g, alive, []int{0}, dist)
+	s := NewScratch()
+	s.MarkSet(g.N(), []int{0, 1, 3, 4})
+	order := s.Ball(g, []int{0}, -1)
 	if len(order) != 2 {
-		t.Fatalf("visited %d nodes through dead node", len(order))
+		t.Fatalf("visited %d nodes through a non-member", len(order))
 	}
-	if dist[3] != -1 || dist[4] != -1 {
-		t.Fatalf("reached across dead node: %v", dist)
+	if s.Reached(3) || s.Reached(4) {
+		t.Fatal("reached across a non-member")
 	}
-	// Dead source is skipped entirely.
-	order = BFS(g, alive, []int{2}, dist)
-	if len(order) != 0 {
-		t.Fatalf("dead source visited %d nodes", len(order))
+	// A source outside the set is skipped entirely, and so is a removed one.
+	if order = s.Ball(g, []int{2}, -1); len(order) != 0 {
+		t.Fatalf("non-member source visited %d nodes", len(order))
+	}
+	s.Remove(3)
+	if order = s.Ball(g, []int{3, 4}, -1); !slices.Equal(order, []int{4}) {
+		t.Fatalf("after removing 3, ball from {3, 4} visits %v", order)
 	}
 }
 
 func TestBFSTreeParents(t *testing.T) {
 	g := Grid(3, 3)
-	dist, parent := BFSTree(g, nil, 0)
-	if parent[0] != -1 {
-		t.Fatalf("root parent %d", parent[0])
+	s := allNodes(g)
+	dist, _ := maskedBFSTree(g, nil, 0)
+	order := s.Tree(g, 0)
+	if len(order) != g.N() || s.Val(0) != -1 {
+		t.Fatalf("tree visits %v, root parent %d", order, s.Val(0))
 	}
 	for v := 1; v < g.N(); v++ {
-		p := parent[v]
-		if p == -1 {
-			t.Fatalf("unreached node %d", v)
-		}
+		p := s.Val(v)
 		if !g.HasEdge(v, p) {
 			t.Fatalf("parent edge %d-%d missing", v, p)
 		}
@@ -168,16 +180,15 @@ func TestWeakVsStrongDiameter(t *testing.T) {
 	// On a cycle, two antipodal-ish arcs: the set {0, 3} on C6 has weak
 	// diameter 3 (through the graph) but is disconnected as induced.
 	g := Cycle(6)
-	if d := WeakDiameter(g, nil, []int{0, 3}); d != 3 {
+	if d := WeakDiameter(g, []int{0, 3}); d != 3 {
 		t.Fatalf("weak diameter %d, want 3", d)
 	}
 	if d := StrongDiameter(g, []int{0, 3}); d != -1 {
 		t.Fatalf("strong diameter %d, want -1", d)
 	}
-	// Weak diameter with a mask that disconnects the pair.
-	alive := []bool{true, false, true, true, true, false}
-	if d := WeakDiameter(g, alive, []int{0, 3}); d != -1 {
-		t.Fatalf("masked weak diameter %d, want -1", d)
+	// Weak diameter across two components.
+	if d := WeakDiameter(DisjointUnion(g, Path(2)), []int{0, 6}); d != -1 {
+		t.Fatalf("disconnected weak diameter %d, want -1", d)
 	}
 }
 
@@ -195,19 +206,13 @@ func TestPowerGraph(t *testing.T) {
 
 func TestNeighborhoodSizes(t *testing.T) {
 	g := Path(5)
-	dist := make([]int, g.N())
-	sizes := NeighborhoodSizes(g, nil, []int{0}, dist)
-	want := []int{1, 2, 3, 4, 5}
-	if len(sizes) != len(want) {
-		t.Fatalf("sizes %v", sizes)
+	s := allNodes(g)
+	if sizes, want := s.Layers(g, []int{0}), []int{1, 2, 3, 4, 5}; !slices.Equal(sizes, want) {
+		t.Fatalf("sizes %v, want %v", sizes, want)
 	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes %v, want %v", sizes, want)
-		}
-	}
-	if s := NeighborhoodSizes(g, make([]bool, 5), []int{0}, dist); s != nil {
-		t.Fatalf("dead sources gave sizes %v", s)
+	s.BeginSet(g.N())
+	if sizes := s.Layers(g, []int{0}); sizes != nil {
+		t.Fatalf("non-member sources gave sizes %v", sizes)
 	}
 }
 
@@ -217,11 +222,11 @@ func TestPropertyBFSLipschitz(t *testing.T) {
 	f := func(seed uint8, nRaw uint8) bool {
 		n := 10 + int(nRaw%50)
 		g := ConnectedGnp(n, 0.08, int64(seed))
-		dist := make([]int, n)
-		BFS(g, nil, []int{0}, dist)
+		s := allNodes(g)
+		s.Ball(g, []int{0}, -1)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Neighbors(u) {
-				d := dist[u] - dist[v]
+				d := s.Dist(u) - s.Dist(v)
 				if d < -1 || d > 1 {
 					return false
 				}
@@ -238,17 +243,10 @@ func TestPropertyBFSLipschitz(t *testing.T) {
 func TestPropertyWeakLEStrong(t *testing.T) {
 	f := func(seed uint8) bool {
 		g := ConnectedGnp(40, 0.05, int64(seed))
-		dist := make([]int, g.N())
 		// Take a BFS ball around node 0 of radius 3: connected by construction.
-		var ball []int
-		BFS(g, nil, []int{0}, dist)
-		for v := 0; v < g.N(); v++ {
-			if dist[v] >= 0 && dist[v] <= 3 {
-				ball = append(ball, v)
-			}
-		}
+		ball := slices.Clone(allNodes(g).Ball(g, []int{0}, 3))
 		sd := StrongDiameter(g, ball)
-		wd := WeakDiameter(g, nil, ball)
+		wd := WeakDiameter(g, ball)
 		return sd >= 0 && wd >= 0 && wd <= sd
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

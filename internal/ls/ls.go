@@ -61,11 +61,12 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64,
 		return emptyCarving(g.N()), nil
 	}
 	p := eps / 2
+	s := graph.NewScratch()
 	for attempt := 0; attempt < maxCarveAttempts; attempt++ {
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		c := carveOnce(g, nodes, p, rng, m)
+		c := carveOnce(g, s, nodes, p, rng, m)
 		if c.DeadFraction(nodes) <= eps+1.0/float64(len(nodes)) {
 			return c, nil
 		}
@@ -73,13 +74,12 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64,
 	return nil, fmt.Errorf("ls: carving failed to meet eps=%v after %d attempts", eps, maxCarveAttempts)
 }
 
-func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds.Meter) *cluster.Carving {
+// carveOnce runs one carving attempt; every flood and tree is a traversal
+// of s restricted to the node set S.
+func carveOnce(g *graph.Graph, s *graph.Scratch, nodes []int, p float64, rng *rand.Rand, m *rounds.Meter) *cluster.Carving {
 	n := g.N()
 	maxR := Radius(len(nodes), p)
-	inS := make([]bool, n)
-	for _, v := range nodes {
-		inS[v] = true
-	}
+	s.MarkSet(n, nodes)
 	radius := make([]int, n)
 	for _, v := range nodes {
 		radius[v] = truncGeometric(p, maxR, rng)
@@ -91,15 +91,13 @@ func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds
 	for i := range bestID {
 		bestID[i] = -1
 	}
-	dist := make([]int, n)
 	// Flood from every center, processed in increasing id; later (larger)
 	// ids overwrite, so ties resolve to the maximum id.
 	for _, u := range nodes {
-		ball := truncatedBFS(g, inS, u, radius[u], dist)
-		for _, v := range ball {
+		for _, v := range s.Ball(g, []int{u}, radius[u]) {
 			if u >= bestID[v] {
 				bestID[v] = u
-				bestDist[v] = dist[v]
+				bestDist[v] = s.Dist(v)
 			}
 		}
 	}
@@ -133,7 +131,7 @@ func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds
 		for _, v := range members[u] {
 			assign[v] = i
 		}
-		trees[i] = steinerTree(g, inS, u, members[u], idx)
+		trees[i] = steinerTree(g, s, u, members[u], idx)
 	}
 	return &cluster.Carving{Assign: assign, K: len(centers), Centers: centers, Trees: trees}
 }
@@ -146,40 +144,13 @@ func truncGeometric(p float64, maxR int, rng *rand.Rand) int {
 	return r
 }
 
-// truncatedBFS explores up to depth limit from src within inS and returns
-// the visited nodes; dist is scratch of length g.N() and holds distances for
-// visited nodes afterwards.
-func truncatedBFS(g *graph.Graph, inS []bool, src, limit int, dist []int) []int {
-	for i := range dist {
-		dist[i] = -1
-	}
-	if !inS[src] {
-		return nil
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if dist[u] == limit {
-			continue
-		}
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == -1 && inS[v] {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
-}
-
-// steinerTree builds the BFS tree from center u restricted to inS, truncated
-// to the paths reaching members (relays along those paths stay in the tree).
-// idx is a node-indexed scratch that must be all -1 on entry; it maps tree
-// nodes to their tree index while the tree grows and is all -1 again on
-// return.
-func steinerTree(g *graph.Graph, inS []bool, u int, members []int, idx []int) *cluster.Tree {
-	_, parent := graph.BFSTree(g, inS, u)
+// steinerTree builds the BFS tree from center u restricted to the current
+// set of s, truncated to the paths reaching members (relays along those
+// paths stay in the tree). idx is a node-indexed scratch that must be all
+// -1 on entry; it maps tree nodes to their tree index while the tree grows
+// and is all -1 again on return.
+func steinerTree(g *graph.Graph, s *graph.Scratch, u int, members []int, idx []int) *cluster.Tree {
+	s.Tree(g, u) // Val(v) is now v's parent
 	t := cluster.NewTree(u)
 	idx[u] = 0
 	var attach func(v int) int
@@ -187,7 +158,7 @@ func steinerTree(g *graph.Graph, inS []bool, u int, members []int, idx []int) *c
 		if i := idx[v]; i >= 0 {
 			return i
 		}
-		idx[v] = t.Attach(v, attach(parent[v]))
+		idx[v] = t.Attach(v, attach(s.Val(v)))
 		return idx[v]
 	}
 	for _, v := range members {

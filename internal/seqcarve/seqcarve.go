@@ -50,45 +50,53 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, m *rounds.Me
 	for i := range assign {
 		assign[i] = cluster.Unclustered
 	}
-	alive := make([]bool, n)
-	for _, v := range nodes {
-		alive[v] = true
-	}
-	dist := make([]int, n)
+	live := graph.NewScratch()
+	live.MarkSet(n, nodes)
 	var centers []int
 	k := 0
-	diamApprox := int64(approxDiameter(g, nodes, dist))
+	// The coordination cost is a 2-sweep of the first node's component.
+	diamApprox := int64(0)
+	if len(nodes) > 0 {
+		diamApprox = int64(live.TwoSweep(g, nodes[0]))
+	}
 	for _, v := range nodes {
-		if !alive[v] {
+		if !live.Has(v) {
 			continue
 		}
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
 		}
 		// v is the minimum-id live node (nodes scanned in increasing order).
-		sizes := graph.NeighborhoodSizes(g, alive, []int{v}, dist)
-		rStar := len(sizes) - 1
-		for r := 0; r < len(sizes)-1; r++ {
-			if 2*sizes[r] >= sizes[r+1] {
-				rStar = r
-				break
-			}
-		}
-		for w, d := range dist {
-			switch {
-			case d >= 0 && d <= rStar:
-				assign[w] = k
-				alive[w] = false
-			case d == rStar+1:
-				alive[w] = false // shell dies
-			}
-		}
+		rStar := carveBall(g, live, v, k, assign)
 		centers = append(centers, v)
 		k++
 		m.Charge("seq/ball", int64(rStar)+2)
 		m.Charge("seq/coordinate", diamApprox+1)
 	}
 	return &cluster.Carving{Assign: assign, K: k, Centers: centers}, nil
+}
+
+// carveBall grows a ball from v inside the current set of live to the
+// first radius r with |B(r+1)| <= 2|B(r)|, assigns B(r) to cluster k,
+// takes B(r+1) (the ball and its dying shell) out of the set, and
+// returns r.
+func carveBall(g *graph.Graph, live *graph.Scratch, v, k int, assign []int) int {
+	sizes := live.Layers(g, []int{v})
+	rStar := len(sizes) - 1
+	for r := 0; r < len(sizes)-1; r++ {
+		if 2*sizes[r] >= sizes[r+1] {
+			rStar = r
+			break
+		}
+	}
+	// The visit order lists B(r+1) first: the ball, then its shell.
+	for _, w := range live.Order()[:sizes[min(rStar+1, len(sizes)-1)]] {
+		if live.Dist(w) <= rStar {
+			assign[w] = k
+		}
+		live.Remove(w)
+	}
+	return rStar
 }
 
 // ABCPStats reports the message-size behavior of the ABCP96 transformation.
@@ -138,11 +146,11 @@ func ABCPTransform(
 	for i := range assign {
 		assign[i] = cluster.Unclustered
 	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	dist := make([]int, n)
+	// live holds the nodes not yet carved or killed; region spans all of g
+	// and measures each cluster's gathered neighbourhood.
+	live, region := graph.NewScratch(), graph.NewScratch()
+	live.MarkAll(n)
+	region.MarkAll(n)
 	var centers []int
 	k := 0
 	idBits := int64(log2ceil(n) + 1)
@@ -155,15 +163,10 @@ func ABCPTransform(
 			// Gather the topology of the cluster plus its d-hop
 			// neighborhood to the center: the message size is the
 			// serialized subgraph (2 ids per edge).
-			region := neighborhood(g, members, d, dist)
 			edges := int64(0)
-			inRegion := make(map[int]bool, len(region))
-			for _, v := range region {
-				inRegion[v] = true
-			}
-			for _, v := range region {
+			for _, v := range region.Ball(g, members, d) {
 				for _, w := range g.Neighbors(v) {
-					if v < w && inRegion[w] {
+					if v < w && region.Reached(w) {
 						edges++
 					}
 				}
@@ -175,78 +178,18 @@ func ABCPTransform(
 			m.Charge("abcp/gather", int64(d)+1)
 
 			// Central sequential carving within the gathered region,
-			// restricted to live cluster members.
-			var live []int
-			for _, v := range members {
-				if alive[v] {
-					live = append(live, v)
+			// from each live cluster member in turn.
+			for _, src := range members {
+				if live.Has(src) {
+					carveBall(g, live, src, k, assign)
+					centers = append(centers, src)
+					k++
 				}
-			}
-			for len(live) > 0 {
-				src := live[0]
-				sizes := graph.NeighborhoodSizes(g, alive, []int{src}, dist)
-				rStar := len(sizes) - 1
-				for r := 0; r < len(sizes)-1; r++ {
-					if 2*sizes[r] >= sizes[r+1] {
-						rStar = r
-						break
-					}
-				}
-				for w, dd := range dist {
-					switch {
-					case dd >= 0 && dd <= rStar:
-						assign[w] = k
-						alive[w] = false
-					case dd == rStar+1:
-						alive[w] = false
-					}
-				}
-				centers = append(centers, src)
-				k++
-				var next []int
-				for _, v := range live {
-					if alive[v] {
-						next = append(next, v)
-					}
-				}
-				live = next
 			}
 			m.Charge("abcp/broadcast", int64(d)+1)
 		}
 	}
 	return &cluster.Carving{Assign: assign, K: k, Centers: centers}, stats, nil
-}
-
-// neighborhood returns all nodes within hop distance d of the member set.
-func neighborhood(g *graph.Graph, members []int, d int, dist []int) []int {
-	order := graph.BFS(g, nil, members, dist)
-	var out []int
-	for _, v := range order {
-		if dist[v] <= d {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func approxDiameter(g *graph.Graph, nodes []int, dist []int) int {
-	if len(nodes) == 0 {
-		return 0
-	}
-	alive := make([]bool, g.N())
-	for _, v := range nodes {
-		alive[v] = true
-	}
-	best := 0
-	order := graph.BFS(g, alive, []int{nodes[0]}, dist)
-	if len(order) > 0 {
-		far := order[len(order)-1]
-		order = graph.BFS(g, alive, []int{far}, dist)
-		if len(order) > 0 {
-			best = dist[order[len(order)-1]]
-		}
-	}
-	return best
 }
 
 func log2ceil(n int) int {
