@@ -14,9 +14,9 @@ import (
 	"strongdecomp/internal/rounds"
 )
 
-// diamScratch pools traversal scratch for DiameterApprox, so repeated
-// served diameter runs allocate nothing in steady state.
-var diamScratch = sync.Pool{New: func() any { return graph.NewScratch() }}
+// scratchPool pools traversal scratch for DiameterApprox and
+// BuildSpannerContext, so repeated served runs reuse their per-node state.
+var scratchPool = sync.Pool{New: func() any { return graph.NewScratch() }}
 
 // DiameterApprox returns the 2-sweep approximation of g's diameter: per
 // connected component, a BFS from an arbitrary node finds a far node and
@@ -26,9 +26,9 @@ var diamScratch = sync.Pool{New: func() any { return graph.NewScratch() }}
 // 2·diam + 2 simulated rounds — two distributed BFS waves plus the
 // constant-round coordination of the sweep.
 func DiameterApprox(g *graph.Graph, m *rounds.Meter) int {
-	s := diamScratch.Get().(*graph.Scratch)
+	s := scratchPool.Get().(*graph.Scratch)
 	diam := s.DiameterApprox(g)
-	diamScratch.Put(s)
+	scratchPool.Put(s)
 	m.Charge("apps/diameter", 2*int64(diam)+2)
 	return diam
 }

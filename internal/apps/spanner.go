@@ -43,8 +43,8 @@ func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decompo
 	}
 	sp := &Spanner{}
 	members := d.Members()
-	visited := make([]bool, g.N())
-	queue := make([]int, 0, g.N())
+	s := scratchPool.Get().(*graph.Scratch)
+	defer scratchPool.Put(s)
 	for color := 0; color < d.Colors; color++ {
 		if err := registry.CtxErr(ctx); err != nil {
 			return nil, err
@@ -57,24 +57,18 @@ func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decompo
 			// cluster of a strong-diameter decomposition is connected, so
 			// one root reaches every member; a disconnected (adversarial)
 			// cluster degrades gracefully to one tree per member component.
+			s.MarkSet(g.N(), members[cl])
 			for _, root := range members[cl] {
-				if visited[root] {
+				if !s.Has(root) {
 					continue
 				}
-				queue = queue[:0]
-				queue = append(queue, root)
-				visited[root] = true
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					for _, w := range g.Neighbors(u) {
-						if visited[w] || d.Assign[w] != cl {
-							continue
-						}
-						visited[w] = true
-						sp.Edges = append(sp.Edges, orderedEdge(u, w))
-						sp.TreeEdges++
-						queue = append(queue, w)
-					}
+				order := s.Tree(g, root)
+				for _, w := range order[1:] {
+					sp.Edges = append(sp.Edges, orderedEdge(s.Val(w), w))
+				}
+				sp.TreeEdges += len(order) - 1
+				for _, w := range order {
+					s.Remove(w)
 				}
 			}
 		}

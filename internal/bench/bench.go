@@ -238,19 +238,8 @@ func TableEdge(family string, n int, eps float64, seed int64) (*EdgeRow, error) 
 	if err := cluster.CheckEdgeCarving(g, nil, ec.Assign, ec.K, ec.Cut, eps, -1); err != nil {
 		return nil, fmt.Errorf("bench: edge carving invalid: %w", err)
 	}
-	// Diameter within the remaining graph: measure per cluster using the
-	// cut-aware oracle by rebuilding the remaining subgraph.
-	b := graph.NewBuilder(g.N())
-	isCut := make(map[[2]int]bool, len(ec.Cut))
-	for _, e := range ec.Cut {
-		isCut[e] = true
-	}
-	for _, e := range g.Edges() {
-		if !isCut[e] {
-			b.AddEdge(e[0], e[1])
-		}
-	}
-	remaining := b.MustBuild()
+	// Diameter within the remaining graph.
+	remaining := graph.WithoutEdges(g, ec.Cut)
 	members := make([][]int, ec.K)
 	for v, cl := range ec.Assign {
 		if cl != cluster.Unclustered {

@@ -39,48 +39,39 @@ func CheckEdgeCut(g *graph.Graph, nodes []int, assign []int, k int, cut [][2]int
 			return fmt.Errorf("edge carving: cluster %d empty", cl)
 		}
 	}
-	isCut := make(map[[2]int]bool, len(cut))
 	for _, e := range cut {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
+		if !g.HasEdge(e[0], e[1]) {
+			return fmt.Errorf("edge carving: cut edge (%d,%d) not in graph", e[0], e[1])
 		}
-		if !g.HasEdge(u, v) {
-			return fmt.Errorf("edge carving: cut edge (%d,%d) not in graph", u, v)
+		if !inSet[e[0]] || !inSet[e[1]] {
+			return fmt.Errorf("edge carving: cut edge (%d,%d) outside the subgraph", e[0], e[1])
 		}
-		if !inSet[u] || !inSet[v] {
-			return fmt.Errorf("edge carving: cut edge (%d,%d) outside the subgraph", u, v)
-		}
-		isCut[[2]int{u, v}] = true
 	}
-	// Edge budget.
-	total := 0
+	// The edge budget counts the subgraph's edges that the remaining
+	// graph has lost, so a pair listed twice counts once.
+	rem := graph.WithoutEdges(g, cut)
+	total, kept := 0, 0
 	for _, v := range nodes {
 		for _, u := range g.Neighbors(v) {
 			if v < u && inSet[u] {
 				total++
 			}
 		}
-	}
-	if total > 0 {
-		frac := float64(len(isCut)) / float64(total)
-		if frac > eps+1.0/float64(total)+1e-9 {
-			return fmt.Errorf("edge carving: cut fraction %.4f exceeds eps %.4f", frac, eps)
-		}
-	}
-	// Remaining edges are intra-cluster.
-	for _, v := range nodes {
-		for _, u := range g.Neighbors(v) {
+		for _, u := range rem.Neighbors(v) {
 			if v >= u || !inSet[u] {
 				continue
 			}
-			if isCut[[2]int{v, u}] {
-				continue
-			}
+			kept++
 			if assign[v] != assign[u] {
 				return fmt.Errorf("edge carving: remaining edge (%d,%d) crosses clusters %d,%d",
 					v, u, assign[v], assign[u])
 			}
+		}
+	}
+	if total > 0 {
+		frac := float64(total-kept) / float64(total)
+		if frac > eps+1.0/float64(total)+1e-9 {
+			return fmt.Errorf("edge carving: cut fraction %.4f exceeds eps %.4f", frac, eps)
 		}
 	}
 	return nil
@@ -99,22 +90,14 @@ func CheckEdgeCarving(g *graph.Graph, nodes []int, assign []int, k int, cut [][2
 			nodes[i] = i
 		}
 	}
-	isCut := make(map[[2]int]bool, len(cut))
-	for _, e := range cut {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
-		}
-		isCut[[2]int{u, v}] = true
-	}
+	rem := graph.WithoutEdges(g, cut)
 	members := make([][]int, k)
 	for _, v := range nodes {
 		members[assign[v]] = append(members[assign[v]], v)
 	}
-	dist := make([]int, g.N())
 	for cl, ms := range members {
-		d, ok := remainingDiameter(g, ms, isCut, dist)
-		if !ok {
+		d := graph.StrongDiameter(rem, ms)
+		if d < 0 {
 			return fmt.Errorf("edge carving: cluster %d disconnected in the remaining graph", cl)
 		}
 		if maxDiam >= 0 && d > maxDiam {
@@ -122,48 +105,4 @@ func CheckEdgeCarving(g *graph.Graph, nodes []int, assign []int, k int, cut [][2
 		}
 	}
 	return nil
-}
-
-// remainingDiameter computes the exact diameter of the cluster within the
-// remaining graph (cluster nodes, uncut edges), or ok=false if disconnected.
-func remainingDiameter(g *graph.Graph, members []int, isCut map[[2]int]bool, dist []int) (int, bool) {
-	if len(members) <= 1 {
-		return 0, true
-	}
-	in := make(map[int]bool, len(members))
-	for _, v := range members {
-		in[v] = true
-	}
-	diam := 0
-	for _, src := range members {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []int{src}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Neighbors(u) {
-				if !in[v] || dist[v] != -1 {
-					continue
-				}
-				a, b := u, v
-				if a > b {
-					a, b = b, a
-				}
-				if isCut[[2]int{a, b}] {
-					continue
-				}
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-		if len(queue) != len(members) {
-			return 0, false
-		}
-		if d := dist[queue[len(queue)-1]]; d > diam {
-			diam = d
-		}
-	}
-	return diam, true
 }

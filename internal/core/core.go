@@ -191,7 +191,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 			root := weakCarving.Centers[giant]
 			_, depthR := sc.treeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
 			sc.MarkSet(g.N(), s)
-			layers := sc.Layers(g, []int{root})
+			layers := sc.Layers(g, []int{root}, -1)
 			maxLayer := len(layers) - 1
 			rStart := min(depthR, maxLayer)
 			rStar := rStart
@@ -356,14 +356,6 @@ func sizeAt(sizes []int, r int) int {
 		return sizes[len(sizes)-1]
 	}
 	return sizes[r]
-}
-
-func maskOf(n int, nodes []int) []bool {
-	mask := make([]bool, n)
-	for _, v := range nodes {
-		mask[v] = true
-	}
-	return mask
 }
 
 func allNodes(n int) []int {

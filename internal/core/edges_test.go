@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,5 +147,24 @@ func TestCarveEdgesRGCycleShape(t *testing.T) {
 	}
 	if len(ec.Cut) == 0 {
 		t.Fatal("cycle carving cut nothing — clusters cannot all be bounded")
+	}
+}
+
+// The edge version carves the node set, whatever the order of the list:
+// an unsorted list once numbered the clusters in its own order.
+func TestCarveEdgesRGIgnoresNodeOrder(t *testing.T) {
+	g := graph.Cycle(40)
+	sorted, err := CarveEdgesRGContext(context.Background(), g, []int{3, 4, 5, 20, 21, 22}, 0.3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range [][]int{{20, 21, 22, 5, 3, 4}, {22, 3, 21, 4, 20, 5, 3}} {
+		ec, err := CarveEdgesRGContext(context.Background(), g, nodes, 0.3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ec, sorted) {
+			t.Fatalf("nodes %v: centers %v, want %v as for the sorted set", nodes, ec.Centers, sorted.Centers)
+		}
 	}
 }

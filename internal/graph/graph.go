@@ -262,3 +262,28 @@ func (g *Graph) MemoryFootprint() int {
 	const wordBytes = 8 // int64 offsets and int targets on 64-bit platforms
 	return wordBytes*(len(g.offsets)+len(g.targets)) + 64
 }
+
+// WithoutEdges returns g minus the edges of cut, each given as a (u, v)
+// pair in either order, on the same nodes; a pair that is not an edge of g
+// is ignored.
+func WithoutEdges(g *Graph, cut [][2]int) *Graph {
+	drop := make([]bool, len(g.targets))
+	for _, e := range cut {
+		for _, uv := range [2][2]int{e, {e[1], e[0]}} {
+			if i, ok := slices.BinarySearch(g.Neighbors(uv[0]), uv[1]); ok {
+				drop[g.offsets[uv[0]]+int64(i)] = true
+			}
+		}
+	}
+	offsets := make([]int64, g.N()+1)
+	targets := make([]int, 0, len(g.targets))
+	for v := range g.N() {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			if !drop[i] {
+				targets = append(targets, g.targets[i])
+			}
+		}
+		offsets[v+1] = int64(len(targets))
+	}
+	return fromCSR(offsets, targets)
+}

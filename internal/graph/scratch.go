@@ -164,13 +164,14 @@ func (s *Scratch) Ball(g *Graph, srcs []int, depth int) []int {
 // valid until the next call of any other method.
 func (s *Scratch) Order() []int { return s.queue }
 
-// Layers runs Ball from srcs without a depth cap and returns the
-// cumulative layer sizes: sizes[r] is the number of members within
-// distance r of srcs (nil if no source is a member). Dist gives the
-// distance of each node reached and Order their visit order. The result
-// aliases the scratch and is valid until the next call.
-func (s *Scratch) Layers(g *Graph, srcs []int) []int {
-	order := s.Ball(g, srcs, -1)
+// Layers runs Ball from srcs, at most depth hops deep (unbounded when
+// depth < 0), and returns the cumulative layer sizes: sizes[r] is the
+// number of members within distance r of srcs (nil if no source is a
+// member). Dist gives the distance of each node reached and Order their
+// visit order. The result aliases the scratch and is valid until the next
+// call.
+func (s *Scratch) Layers(g *Graph, srcs []int, depth int) []int {
+	order := s.Ball(g, srcs, depth)
 	if len(order) == 0 {
 		return nil
 	}

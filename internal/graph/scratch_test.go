@@ -64,7 +64,7 @@ func TestScratchSetTraversalsMatchMaskedOnes(t *testing.T) {
 				wantSizes = append(wantSizes, within)
 			}
 			s.MarkSet(g.N(), set)
-			sizes := s.Layers(g, srcs)
+			sizes := s.Layers(g, srcs, -1)
 			if !slices.Equal(sizes, wantSizes) {
 				t.Fatalf("%s trial %d: Layers %v, want %v", name, trial, sizes, wantSizes)
 			}
@@ -125,7 +125,7 @@ func TestScratchOtherCallsEndTheSet(t *testing.T) {
 	s := NewScratch()
 	s.MarkSet(g.N(), []int{0, 1, 2})
 	s.Components(g, nil)
-	if sizes := s.Layers(g, []int{5}); sizes != nil {
+	if sizes := s.Layers(g, []int{5}, -1); sizes != nil {
 		t.Fatalf("Layers after Components found %v, want no members", sizes)
 	}
 	if s.Has(0) || s.Has(5) {

@@ -207,11 +207,14 @@ func TestPowerGraph(t *testing.T) {
 func TestNeighborhoodSizes(t *testing.T) {
 	g := Path(5)
 	s := allNodes(g)
-	if sizes, want := s.Layers(g, []int{0}), []int{1, 2, 3, 4, 5}; !slices.Equal(sizes, want) {
+	if sizes, want := s.Layers(g, []int{0}, -1), []int{1, 2, 3, 4, 5}; !slices.Equal(sizes, want) {
 		t.Fatalf("sizes %v, want %v", sizes, want)
 	}
+	if sizes, want := s.Layers(g, []int{0}, 2), []int{1, 2, 3}; !slices.Equal(sizes, want) {
+		t.Fatalf("depth-2 sizes %v, want %v", sizes, want)
+	}
 	s.BeginSet(g.N())
-	if sizes := s.Layers(g, []int{0}); sizes != nil {
+	if sizes := s.Layers(g, []int{0}, -1); sizes != nil {
 		t.Fatalf("non-member sources gave sizes %v", sizes)
 	}
 }

@@ -79,9 +79,11 @@ func CarveContext(ctx context.Context, g *graph.Graph, nodes []int, m *rounds.Me
 // carveBall grows a ball from v inside the current set of live to the
 // first radius r with |B(r+1)| <= 2|B(r)|, assigns B(r) to cluster k,
 // takes B(r+1) (the ball and its dying shell) out of the set, and
-// returns r.
+// returns r. The BFS stops at depth D = bits.Len(n): were the rule to fail
+// for every r < D, |B(D)| would exceed 2^D > n. So r+1 <= D, or the ball
+// holds v's whole live component, and the cap never changes the result.
 func carveBall(g *graph.Graph, live *graph.Scratch, v, k int, assign []int) int {
-	sizes := live.Layers(g, []int{v})
+	sizes := live.Layers(g, []int{v}, bits.Len(uint(g.N())))
 	rStar := len(sizes) - 1
 	for r := 0; r < len(sizes)-1; r++ {
 		if 2*sizes[r] >= sizes[r+1] {
